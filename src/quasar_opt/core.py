@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Callable, Optional, Protocol, runtime_checkable
 
@@ -67,7 +68,7 @@ def clip_to_bounds(y: np.ndarray, bounds: BoundsBox) -> np.ndarray:
             f"dimension mismatch: position has {y.shape[-1]} components, "
             f"bounds have {bounds.dim}"
         )
-    return np.clip(y, bounds.low, bounds.high)
+    return np.minimum(np.maximum(y, bounds.low), bounds.high)
 
 
 @runtime_checkable
@@ -159,23 +160,37 @@ class Population:
         return self.positions.shape[1]
 
 
-def rank_population(pop: Population) -> np.ndarray:
-    """0-based fitness ranks: rank 0 is the best (lowest fitness).
-
-    Ties are broken by lower index first (stable sort). NaN fitness is a
-    hard error; ranking NaN would silently corrupt selection.
-    """
-    fitness = np.asarray(pop.fitness, dtype=float)
-    nan = np.isnan(fitness)
-    if nan.any():
+def fitness_order(fitness: np.ndarray) -> np.ndarray:
+    """Indices sorting fitness best first, ties by lower index (stable);
+    NaN fitness is an error, as ranking NaN would corrupt selection."""
+    order = fitness.argsort(kind="stable")
+    if order.size and np.isnan(fitness[order[-1]]):    # NaN sorts last
         raise ValueError(
             f"cannot rank population: fitness of individual "
-            f"{int(np.argmax(nan))} is NaN"
+            f"{int(np.argmax(np.isnan(fitness)))} is NaN"
         )
-    order = np.argsort(fitness, kind="stable")
-    ranks = np.empty(fitness.size, dtype=np.int64)
-    ranks[order] = np.arange(fitness.size)
+    return order
+
+
+def rank_population(pop: Population) -> np.ndarray:
+    """0-based fitness ranks: rank 0 is the best (lowest fitness); ties and
+    NaN are handled as in fitness_order."""
+    order = fitness_order(np.asarray(pop.fitness, dtype=float))
+    ranks = np.empty(order.size, dtype=np.int64)
+    ranks[order] = np.arange(order.size)
     return ranks
+
+
+def require_finite(values: np.ndarray, generation: int, indices) -> None:
+    """Raise ValueError naming the generation and the individual (indices[k]
+    for values[k]) of the first non-finite objective value."""
+    if np.isfinite(values).all():
+        return
+    k = int(np.argmax(~np.isfinite(values)))
+    raise ValueError(
+        f"objective returned a non-finite value ({values[k]}) at "
+        f"generation {generation} for individual {int(indices[k])}"
+    )
 
 
 def best_of(pop: Population):
@@ -241,3 +256,32 @@ class OptResult:
     trace: np.ndarray
     runtime_seconds: float
     eval_count: int
+
+
+def run_generations(objective, pop: Population, g_max: int, t0: float,
+                    advance: Callable[[Population], Population]) -> OptResult:
+    """Apply advance() g_max times to the initial population, tracking the
+    best-so-far point and trace, and package the result; the runtime counts
+    from the perf_counter reading t0."""
+    _, best_pos, best_fit = best_of(pop)
+    trace = np.empty(g_max + 1)
+    trace[0] = best_fit
+    for g in range(g_max):
+        pop = advance(pop)
+        gen_best = float(pop.fitness.min())
+        if gen_best < best_fit:
+            best_fit = gen_best
+            best_pos = pop.positions[int(pop.fitness.argmin())].copy()
+        trace[g + 1] = best_fit
+    runtime = time.perf_counter() - t0
+
+    known = getattr(objective, "known_optimum", None)
+    error = best_fit - known if known is not None else best_fit
+    return OptResult(
+        best_position=best_pos,
+        best_fitness=best_fit,
+        error=float(error),
+        trace=trace,
+        runtime_seconds=runtime,
+        eval_count=pop.eval_count,
+    )

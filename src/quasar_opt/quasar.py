@@ -21,10 +21,12 @@ from .core import (
     Population,
     RngStream,
     as_objective,
-    best_of,
     clip_to_bounds,
     evaluate_rows,
-    rank_population,
+    fitness_order,
+    rank_population,  # unused here; bench/layers.py traces this name
+    require_finite,
+    run_generations,
 )
 from .sampling import InitMethod, initial_population
 
@@ -120,14 +122,13 @@ def select_strategy(rng: RngStream, entangle_rate: float, size=None):
         if rng.random() < 0.5:
             return MutationStrategy.SPOOKY_CURRENT
         return MutationStrategy.SPOOKY_RANDOM
-    u_best = rng.random(size)
-    u_split = rng.random(size)
-    out = np.where(u_split < 0.5,
-                   int(MutationStrategy.SPOOKY_CURRENT),
-                   int(MutationStrategy.SPOOKY_RANDOM))
-    out = np.where(u_best < entangle_rate,
-                   int(MutationStrategy.SPOOKY_BEST), out)
-    return out.astype(np.int8)
+    # One draw of both uniform blocks: the stream use equals two draws.
+    shape = tuple(size) if np.iterable(size) else (size,)
+    u_best, u_split = rng.random((2, *shape))
+    # SPOOKY_CURRENT (1) below one half, SPOOKY_RANDOM (2) above.
+    out = np.add(u_split >= 0.5, 1, dtype=np.int8)
+    out[u_best < entangle_rate] = int(MutationStrategy.SPOOKY_BEST)
+    return out
 
 
 def sample_f_local(rng: RngStream, size=None):
@@ -142,7 +143,8 @@ def sample_f_global(rng: RngStream, size=None):
         mode = F_GLOBAL_MODE if rng.random() < 0.5 else -F_GLOBAL_MODE
         return rng.normal(mode, F_GLOBAL_SCALE)
     modes = np.where(rng.random(size) < 0.5, F_GLOBAL_MODE, -F_GLOBAL_MODE)
-    return rng.normal(modes, F_GLOBAL_SCALE)
+    # = rng.normal(modes, F_GLOBAL_SCALE) bit for bit, minus its slow path.
+    return modes + F_GLOBAL_SCALE * rng.normal(size=size)
 
 
 def mutate(i: int, strategy: MutationStrategy, pop: Population, best_idx: int,
@@ -188,19 +190,18 @@ def mutate(i: int, strategy: MutationStrategy, pop: Population, best_idx: int,
 def _build_mutants(positions: np.ndarray, best_idx: int, var_idx: np.ndarray,
                    strategies: np.ndarray, f: np.ndarray,
                    rand_idx: np.ndarray) -> np.ndarray:
-    """Vectorized mutation for the variation set (pre-clipping)."""
-    xi = positions[var_idx]
-    xr = positions[rand_idx]
-    xb = positions[best_idx]
-    f = f[:, None]
-    v = np.empty_like(xi)
-    b = strategies == int(MutationStrategy.SPOOKY_BEST)
-    c = strategies == int(MutationStrategy.SPOOKY_CURRENT)
-    r = strategies == int(MutationStrategy.SPOOKY_RANDOM)
-    v[b] = xb + f[b] * (xi[b] - xr[b])
-    v[c] = xi[c] + f[c] * (xb - xr[c])
-    v[r] = xr[r] + f[r] * (xi[r] - xr[r])
-    return v
+    """Vectorized mutation for the variation set (pre-clipping).
+
+    Every strategy is X_p + F * (X_q - X_rand), with (p, q) = (best, i),
+    (i, best) and (rand, i) for SPOOKY_BEST, SPOOKY_CURRENT and
+    SPOOKY_RANDOM, so one gather per operand serves all three.
+    """
+    p = strategies.choose((best_idx, var_idx, rand_idx))
+    q = np.where(strategies == int(MutationStrategy.SPOOKY_CURRENT),
+                 best_idx, var_idx)
+    # take() is the fast row gather; positions[idx] costs ~4x more here.
+    xp, xq, xr = (positions.take(k, axis=0) for k in (p, q, rand_idx))
+    return xp + f[:, None] * (xq - xr)
 
 
 def crossover_rate(rank, n: int, cr_floor: float = 0.33):
@@ -260,12 +261,13 @@ def compute_elite_stats(pop: Population, elite_fraction: float = 0.25,
         raise ValueError(
             f"covariance needs at least {m} individuals, population has {n}"
         )
-    order = np.argsort(pop.fitness, kind="stable")
-    elites = pop.positions[order[:m]]
-    mu = elites.mean(axis=0)
+    order = pop.fitness.argsort(kind="stable")
+    elites = pop.positions.take(order[:m], axis=0)
+    mu = elites.sum(axis=0) / m
     centered = elites - mu
-    sigma = centered.T @ centered / (m - 1)
-    sigma += epsilon * np.eye(pop.dim)
+    sigma = centered.T @ centered
+    sigma /= m - 1
+    sigma.ravel()[::pop.dim + 1] += epsilon     # the diagonal, in place
     return EliteStats(mu=mu, sigma=sigma, m=m, epsilon=epsilon)
 
 
@@ -279,7 +281,10 @@ def _reinit_batch(stats: EliteStats, bounds: BoundsBox, rng: RngStream,
     """
     mu, sigma = stats.mu, stats.sigma
     d = mu.size
-    z = rng.normal(size=(count, d))
+    # Gaussians and noise in one draw: the same stream use as two draws.
+    z = rng.normal(size=(2 * count, d))
+    noise = z[count:] * (bounds.width / noise_divisor)
+    z = z[:count]
     fallback = 0
     try:
         chol = np.linalg.cholesky(sigma)
@@ -292,8 +297,7 @@ def _reinit_batch(stats: EliteStats, bounds: BoundsBox, rng: RngStream,
         except np.linalg.LinAlgError:
             y = mu + z * np.sqrt(np.maximum(np.diag(sigma), 0.0))
             fallback = 2
-    delta = rng.normal(0.0, bounds.width / noise_divisor, size=(count, d))
-    return clip_to_bounds(y + delta, bounds), fallback
+    return clip_to_bounds(y + noise, bounds), fallback
 
 
 def sample_reinit_position(stats: EliteStats, bounds: BoundsBox,
@@ -327,42 +331,41 @@ def step(objective, bounds: BoundsBox, pop: Population, cfg: QuasarConfig,
     donor indices, crossover matrix.
     """
     n, d = pop.size, pop.dim
-    ranks = rank_population(pop)
+    # One stable sort gives the ranks and the worst slice.
+    order = fitness_order(pop.fitness)
+    ranks = np.empty(n, dtype=np.int64)
+    ranks[order] = np.arange(n)
 
     positions = pop.positions.copy()
     fitness = pop.fitness.copy()
-    evals = 0
 
     # Worst slice, ordered best-to-worst, each member drawn independently.
     n_slice = int(cfg.reinit_fraction * n)
-    order = np.argsort(ranks)
-    slice_members = order[n - n_slice:] if n_slice > 0 else np.empty(0, dtype=int)
     p_reinit = reinit_probability(pop.generation, cfg.g_max,
                                   cfg.p_final, cfg.g_final)
-    draws = rng.random(n_slice)
-    chosen = slice_members[draws < p_reinit]
+    chosen = order[n - n_slice:][rng.random(n_slice) < p_reinit]
     fallback = 0
     if chosen.size:
         stats = compute_elite_stats(pop, cfg.elite_fraction, cfg.epsilon_jitter)
         new_pos, fallback = _reinit_batch(stats, bounds, rng,
                                           cfg.noise_divisor, chosen.size)
         new_fit = evaluate_rows(objective, new_pos)
-        _require_finite(new_fit, pop.generation, chosen)
+        require_finite(new_fit, pop.generation, chosen)
         positions[chosen] = new_pos
         fitness[chosen] = new_fit
-        evals += chosen.size
 
     reinit_mask = np.zeros(n, dtype=bool)
     reinit_mask[chosen] = True
-    var_idx = np.flatnonzero(~reinit_mask)
+    var_idx = (~reinit_mask).nonzero()[0]
     m = var_idx.size
 
-    best_idx = int(np.argmin(fitness))
+    best_idx = int(fitness.argmin())
     strategies = select_strategy(rng, cfg.entangle_rate, size=m)
     is_best = strategies == int(MutationStrategy.SPOOKY_BEST)
+    n_best = int(np.count_nonzero(is_best))
     f = np.empty(m)
-    f[is_best] = sample_f_local(rng, size=int(is_best.sum()))
-    f[~is_best] = sample_f_global(rng, size=int(m - is_best.sum()))
+    f[is_best] = sample_f_local(rng, size=n_best)
+    f[~is_best] = sample_f_global(rng, size=m - n_best)
     r = rng.integers(0, n - 1, size=m)
     rand_idx = r + (r >= var_idx)
 
@@ -372,36 +375,24 @@ def step(objective, bounds: BoundsBox, pop: Population, cfg: QuasarConfig,
     )
     cr = crossover_rate(ranks[var_idx], n, cfg.cr_floor)
     mix = rng.random((m, d)) <= cr[:, None]
-    trials = np.where(mix, mutants, positions[var_idx])
+    trials = np.where(mix, mutants, positions.take(var_idx, axis=0))
     trial_fit = evaluate_rows(objective, trials)
-    _require_finite(trial_fit, pop.generation, var_idx)
-    evals += m
+    require_finite(trial_fit, pop.generation, var_idx)
 
     accept = trial_fit < fitness[var_idx]
     winners = var_idx[accept]
-    positions[winners] = trials[accept]
+    positions[winners] = trials.compress(accept, axis=0)
     fitness[winners] = trial_fit[accept]
 
     new_pop = Population(positions, fitness, pop.generation + 1,
-                         pop.eval_count + evals)
-    info = StepInfo(
+                         pop.eval_count + n)
+    return new_pop, StepInfo(
         reinit_mask=reinit_mask,
         n_reinit=int(chosen.size),
         cholesky_fallback=fallback,
-        strategy_counts=np.bincount(strategies.astype(int), minlength=3),
-        n_accepted=int(accept.sum()),
+        strategy_counts=np.bincount(strategies, minlength=3),
+        n_accepted=int(np.count_nonzero(accept)),
     )
-    return new_pop, info
-
-
-def _require_finite(values: np.ndarray, generation: int, indices: np.ndarray):
-    bad = ~np.isfinite(values)
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise ValueError(
-            f"objective returned a non-finite value ({values[k]}) at "
-            f"generation {generation} for individual {int(indices[k])}"
-        )
 
 
 def optimize(f, bounds: BoundsBox, cfg: Optional[QuasarConfig] = None) -> OptResult:
@@ -435,28 +426,9 @@ def optimize(f, bounds: BoundsBox, cfg: Optional[QuasarConfig] = None) -> OptRes
     t0 = time.perf_counter()
     positions = initial_population(cfg.init_method, n, bounds, rng)
     fitness = evaluate_rows(objective, positions)
-    _require_finite(fitness, 0, np.arange(n))
+    require_finite(fitness, 0, range(n))
     pop = Population(positions, fitness, generation=0, eval_count=n)
 
-    _, best_pos, best_fit = best_of(pop)
-    trace = np.empty(cfg.g_max + 1)
-    trace[0] = best_fit
-    for g in range(cfg.g_max):
-        pop, _ = step(objective, bounds, pop, cfg, rng)
-        gen_best = float(pop.fitness.min())
-        if gen_best < best_fit:
-            best_fit = gen_best
-            best_pos = pop.positions[int(np.argmin(pop.fitness))].copy()
-        trace[g + 1] = best_fit
-    runtime = time.perf_counter() - t0
-
-    known = getattr(objective, "known_optimum", None)
-    error = best_fit - known if known is not None else best_fit
-    return OptResult(
-        best_position=best_pos,
-        best_fitness=best_fit,
-        error=float(error),
-        trace=trace,
-        runtime_seconds=runtime,
-        eval_count=pop.eval_count,
-    )
+    # `step` is looked up at call time, so it can be wrapped or replaced.
+    return run_generations(objective, pop, cfg.g_max, t0,
+                           lambda p: step(objective, bounds, p, cfg, rng)[0])

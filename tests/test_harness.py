@@ -118,6 +118,61 @@ class TestRunPlan:
         assert np.all(np.diff(trace) <= 0)
 
 
+class TestSamplerWarmUp:
+    """The Sobol set-up cost must be paid before the first timed trial."""
+
+    def record_calls(self, monkeypatch):
+        events = []
+        real_trial = harness.run_trial
+        monkeypatch.setattr(harness, "_warm_up",
+                            lambda: events.append("warm"))
+
+        def trial(*args, **kwargs):
+            events.append("trial")
+            return real_trial(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_trial", trial)
+        return events
+
+    def test_serial_warms_once_before_first_trial(self, tmp_path, monkeypatch):
+        events = self.record_calls(monkeypatch)
+        run_plan(ExperimentPlan(algorithms=["quasar"], **TINY), tmp_path)
+        assert events == ["warm"] + ["trial"] * 3
+
+    def test_finished_directory_does_not_warm(self, tmp_path, monkeypatch):
+        plan = ExperimentPlan(algorithms=["quasar"], **TINY)
+        run_plan(plan, tmp_path)
+        events = self.record_calls(monkeypatch)
+        run_plan(plan, tmp_path)
+        assert events == []
+
+    def test_pool_workers_warm_before_their_trials(self, tmp_path,
+                                                   monkeypatch):
+        # An in-process stand-in for the pool: it runs the initializer the
+        # way each worker would, then the jobs.
+        events = self.record_calls(monkeypatch)
+
+        class InlinePool:
+            def __init__(self, max_workers, initializer=None):
+                self.initializer = initializer
+
+            def __enter__(self):
+                if self.initializer is not None:
+                    self.initializer()
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setenv(harness.WORKERS_ENV, "2")
+        run_plan(ExperimentPlan(algorithms=["quasar"], **TINY), tmp_path)
+        assert events == ["warm"] + ["trial"] * 3
+
+
 def write_records(path, rows):
     path.write_text(CSV_HEADER + "\n" + "\n".join(rows) + "\n")
 

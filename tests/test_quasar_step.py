@@ -121,26 +121,51 @@ class TestMechanismIsolation:
                 assert np.all(from_parent | from_best)
 
 
+def hand_picked_case():
+    rng = np.random.default_rng(0)
+    positions = rng.uniform(-50, 50, size=(12, 4))
+    pop = Population(positions, np.arange(12.0))
+    var_idx = np.array([1, 3, 4, 7, 9, 11])
+    strategies = np.array([0, 1, 2, 0, 1, 2])
+    f = rng.normal(size=6)
+    rand_idx = np.array([2, 5, 6, 8, 10, 0])
+    return pop, 0, var_idx, strategies, f, rand_idx
+
+
+def seeded_case():
+    # ~200 rows over all three strategies, including donors that are the
+    # best member.
+    rng = np.random.default_rng(123)
+    n, rows, best_idx = 40, 200, 7
+    pop = Population(rng.uniform(-50, 50, size=(n, 5)), rng.normal(size=n))
+    var_idx = rng.integers(0, n, size=rows)
+    strategies = rng.integers(0, 3, size=rows).astype(np.int8)
+    f = rng.normal(0.0, 0.8, size=rows)
+    r = rng.integers(0, n - 1, size=rows)
+    rand_idx = r + (r >= var_idx)
+    rand_idx[::9] = np.where(var_idx[::9] == best_idx, 0, best_idx)
+    assert np.any(rand_idx == best_idx)
+    assert set(strategies.tolist()) == {0, 1, 2}
+    return pop, best_idx, var_idx, strategies, f, rand_idx
+
+
 class TestVectorizedMutationMatchesScalarOp:
     def test_build_mutants_equals_mutate(self):
-        rng = np.random.default_rng(0)
-        bounds = BoundsBox.cube(-50.0, 50.0, 4)
-        positions = rng.uniform(-50, 50, size=(12, 4))
-        pop = Population(positions, np.arange(12.0))
-        best_idx = 0
-        var_idx = np.array([1, 3, 4, 7, 9, 11])
-        strategies = np.array([0, 1, 2, 0, 1, 2])
-        f = rng.normal(size=6)
-        rand_idx = np.array([2, 5, 6, 8, 10, 0])
-        batch = np.clip(
-            _build_mutants(positions, best_idx, var_idx, strategies, f, rand_idx),
-            -50.0, 50.0,
-        )
-        for row, (i, s, ff, r) in enumerate(zip(var_idx, strategies, f, rand_idx)):
-            scalar = mutate(int(i), MutationStrategy(int(s)), pop, best_idx,
-                            RngStream(0), bounds, f_factor=float(ff),
-                            rand_index=int(r))
-            assert np.allclose(batch[row], scalar)
+        # The vector path must match the scalar oracle bit for bit.
+        for pop, best_idx, var_idx, strategies, f, rand_idx in (
+                hand_picked_case(), seeded_case()):
+            bounds = BoundsBox.cube(-50.0, 50.0, pop.dim)
+            batch = np.clip(
+                _build_mutants(pop.positions, best_idx, var_idx, strategies,
+                               f, rand_idx),
+                -50.0, 50.0,
+            )
+            for row, (i, s, ff, r) in enumerate(
+                    zip(var_idx, strategies, f, rand_idx)):
+                scalar = mutate(int(i), MutationStrategy(int(s)), pop,
+                                best_idx, RngStream(0), bounds,
+                                f_factor=float(ff), rand_index=int(r))
+                assert np.array_equal(batch[row], scalar), row
 
 
 class TestOptimize:
