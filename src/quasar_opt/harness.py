@@ -50,6 +50,8 @@ CSV_HEADER = "algo,function,dim,pop,gmax,trial,seed,final_error,runtime_sec,eval
 WORKERS_ENV = "QUASAR_WORKERS"
 ALGORITHMS = ("quasar", "de")
 REFERENCE_ALGO = "quasar"
+# Plan fields that change a trial's result without changing its resume key.
+RESULT_FIELDS = ("g_max", "master_seed", "suite_seed")
 
 
 @dataclass(frozen=True)
@@ -197,9 +199,35 @@ def run_trial(algo: str, function: str, dim: int, pop: int, gmax: int,
 
 
 def _warm_up() -> None:
-    """Pay the Sobol engine's one-time set-up (~20 ms) before any trial is
-    timed, so it does not land in the first trial's runtime_sec."""
+    """Load the Sobol direction table (~15-20 ms, once per process) before
+    any trial is timed, so it does not land in the first trial's
+    runtime_sec."""
     sobol_sample(1, BoundsBox.cube(0.0, 1.0, 1))
+
+
+def _check_same_results(plan_path: Path, plan: ExperimentPlan) -> None:
+    """Refuse to resume a directory whose plan.json differs from ``plan`` in
+    a field that changes results; adding cells, trials, functions or
+    algorithms is fine."""
+    if not plan_path.exists():
+        return
+    old, new = json.loads(plan_path.read_text()), plan.to_dict()
+    diffs = [f"{k}: {old.get(k)!r} there, {new[k]!r} now"
+             for k in RESULT_FIELDS if old.get(k) != new[k]]
+    if diffs:
+        raise ValueError(
+            f"{plan_path.parent} holds results of another plan ("
+            + "; ".join(diffs) + ")"
+        )
+
+
+def _drop_torn_row(records_path: Path) -> None:
+    """Cut a final row that lacks its newline (a kill mid-write), so its
+    trial reruns. Every complete row ends in a newline."""
+    with open(records_path, "rb+") as fh:
+        data = fh.read()
+        if data and not data.endswith(b"\n"):
+            fh.truncate(data.rfind(b"\n") + 1)
 
 
 def run_plan(plan: ExperimentPlan, out_dir) -> SummaryTable:
@@ -207,15 +235,19 @@ def run_plan(plan: ExperimentPlan, out_dir) -> SummaryTable:
 
     Existing rows in ``out_dir/records.csv`` are treated as completed and
     skipped, so rerunning a finished directory performs no optimizer
-    executions. Returns the SummaryTable also written to summary.json.
+    executions; a torn final row is dropped and its trial rerun. A
+    directory whose plan.json differs in a RESULT_FIELDS entry raises
+    ValueError. Returns the SummaryTable also written to summary.json.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     records_path = out / "records.csv"
+    _check_same_results(out / "plan.json", plan)
     (out / "plan.json").write_text(json.dumps(plan.to_dict(), indent=2))
 
     done = set()
     if records_path.exists():
+        _drop_torn_row(records_path)
         for rec in load_records(records_path):
             done.add((rec.algo, rec.function, rec.dim, rec.pop, rec.trial))
     else:

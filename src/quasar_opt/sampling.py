@@ -3,15 +3,20 @@
 from __future__ import annotations
 
 from enum import Enum
+from functools import lru_cache
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
-from scipy.stats import qmc
+import scipy
 
 from .core import BoundsBox, RngStream
 
-# Size of the Joe-Kuo direction-number table shipped with scipy's Sobol engine.
+# Rows of the Joe-Kuo direction-number table (Joe & Kuo, SIAM J. Sci.
+# Comput. 2008) that scipy ships as stats/_sobol_direction_numbers.npz.
 SOBOL_MAX_DIM = 21201
+# Direction numbers are 30-bit, as in scipy's default qmc.Sobol engine.
+_BITS = 30
 
 
 class InitMethod(Enum):
@@ -31,24 +36,72 @@ def sobol_sample(n: int, bounds: BoundsBox, rng: Optional[RngStream] = None,
     preserves the dyadic stratification structure.
 
     Coordinates lie in [low, high): the low edge is attainable, the high
-    edge is not.
+    edge is not. The points equal scipy's ``qmc.Sobol(d, scramble=False)``
+    after ``fast_forward(1)`` bit for bit.
     """
     if n < 1:
         raise ValueError("need at least one sample")
+    if n > 2**_BITS - 1:
+        raise ValueError(f"at most 2**{_BITS} - 1 Sobol points; got {n}")
     d = bounds.dim
     if d > SOBOL_MAX_DIM:
         raise ValueError(
             f"Sobol direction numbers cover at most {SOBOL_MAX_DIM} "
             f"dimensions; got {d}"
         )
-    engine = qmc.Sobol(d=d, scramble=False)
-    engine.fast_forward(1)
-    unit = engine.random(n)
+    # Gray-code order: point k is point k-1 XOR the direction numbers of
+    # bit trailing_ones(k), i.e. log2 of the lowest set bit of k+1.
+    k1 = np.arange(1, n + 1)
+    bits = np.take(_direction_numbers(d), np.frexp(k1 & -k1)[1] - 1, axis=0)
+    np.bitwise_xor.accumulate(bits, axis=0, out=bits)
+    unit = bits * 2.0**-_BITS
     if scramble:
         if rng is None:
             raise ValueError("scrambling requires an rng")
         unit = _digital_shift(unit, rng)
-    return bounds.low + unit * bounds.width
+    unit *= bounds.width
+    unit += bounds.low
+    return unit
+
+
+@lru_cache(maxsize=None)
+def _joe_kuo():
+    """(poly, vinit) of the Joe-Kuo table, read on first use in a process.
+
+    vinit is kept as uint32, half its stored size. Freeing the 3 MB int64
+    copy also lifts glibc's dynamic mmap threshold, as scipy's own loader
+    did: D=100, N=1000 generations then reuse heap memory instead of
+    faulting in fresh pages for every ~0.8 MB temporary."""
+    path = Path(scipy.__file__).parent / "stats" / "_sobol_direction_numbers.npz"
+    with np.load(path) as table:
+        return table["poly"], table["vinit"].astype(np.uint32)
+
+
+@lru_cache(maxsize=32)
+def _direction_numbers(d: int) -> np.ndarray:
+    """(_BITS, d) read-only direction numbers, row j scaled by 2**(_BITS-1-j).
+
+    Dimension 0 is all ones; dimension i takes its first deg(poly[i]) from
+    vinit and the rest from the Bratley-Fox recurrence (ACM TOMS 1988), run
+    for all dimensions at once."""
+    poly, vinit = _joe_kuo()
+    poly = poly[:d]
+    deg = np.frexp(poly)[1] - 1
+    k = np.arange(vinit.shape[1])[:, None]
+    # taps[k] = 2**(k+1) where poly's coefficient k+1 (from the top) is set.
+    taps = ((k < deg) & (poly >> np.maximum(deg - 1 - k, 0)) & 1) << (k + 1)
+    v = np.zeros((_BITS, d), dtype=np.int64)
+    v[:vinit.shape[1]] = vinit[:d].T
+    v[:, 0] = 1
+    dims = np.arange(d)
+    for j in range(1, _BITS):
+        new = v[np.maximum(j - deg, 0), dims]
+        for i in range(min(j, len(taps))):
+            new ^= v[j - 1 - i] * taps[i]
+        v[j] = np.where(j >= deg, new, v[j])
+    table = (v << (_BITS - 1 - np.arange(_BITS))[:, None]).astype(np.uint32)
+    table.flags.writeable = False
+    return table
 
 
 def _digital_shift(unit: np.ndarray, rng: RngStream) -> np.ndarray:

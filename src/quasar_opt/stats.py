@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy.stats import chi2, norm, rankdata, t as t_dist
+from scipy import special
 
 ERROR_FLOOR = 1e-12
 
@@ -70,8 +70,20 @@ def gmerf_ci(comparison_errors, reference_errors, level: float = 0.95,
         raise ValueError("confidence interval needs at least 2 trials")
     mean = logs.mean()
     se = logs.std(ddof=1) / np.sqrt(n)
-    half = t_dist.ppf(0.5 + level / 2.0, df=n - 1) * se
+    half = special.stdtrit(n - 1, 0.5 + level / 2.0) * se
     return float(np.exp(mean - half)), float(np.exp(mean + half))
+
+
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """Ranks 1..n of a 1-D array; ties share the mean of their ranks."""
+    order = np.argsort(values, kind="mergesort")
+    ordered = values[order]
+    new = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+    # A tie group at sorted positions [s, e) holds ranks s+1..e.
+    edges = np.flatnonzero(np.concatenate((new, [True])))
+    ranks = np.empty(values.size)
+    ranks[order] = ((edges[:-1] + edges[1:] + 1) / 2.0)[np.cumsum(new) - 1]
+    return ranks
 
 
 @dataclass(frozen=True)
@@ -95,7 +107,7 @@ def friedman_rank_sums(median_errors) -> FriedmanResult:
     if not np.all(np.isfinite(m)):
         raise ValueError("median errors must be finite")
     s, a = m.shape
-    ranks = np.apply_along_axis(rankdata, 1, m)
+    ranks = np.apply_along_axis(_average_ranks, 1, m)
     rank_sums = ranks.sum(axis=0)
 
     stat = (12.0 / (s * a * (a + 1))) * np.sum(rank_sums ** 2) - 3.0 * s * (a + 1)
@@ -109,7 +121,9 @@ def friedman_rank_sums(median_errors) -> FriedmanResult:
         # Every scenario fully tied: no evidence of any difference.
         return FriedmanResult(rank_sums, 0.0, 1.0)
     stat /= c
-    p = float(chi2.sf(stat, df=a - 1))
+    # The chi-square survival function is 1 at and below 0; rounding can
+    # leave stat a hair under 0, where chdtrc gives NaN.
+    p = float(special.chdtrc(a - 1, max(stat, 0.0)))
     return FriedmanResult(rank_sums, float(stat), p)
 
 
@@ -133,7 +147,7 @@ def wilcoxon_signed_rank(x, y) -> Tuple[float, float]:
         raise ValueError(
             f"need at least 5 nonzero differences, got {n}"
         )
-    ranks = rankdata(np.abs(d))
+    ranks = _average_ranks(np.abs(d))
     w_plus = ranks[d > 0].sum()
     w_minus = ranks[d < 0].sum()
     statistic = min(w_plus, w_minus)
@@ -145,7 +159,7 @@ def wilcoxon_signed_rank(x, y) -> Tuple[float, float]:
     if var <= 0:
         raise ValueError("degenerate test: zero variance after ties")
     z = (statistic - mean + 0.5) / np.sqrt(var)
-    p = float(min(2.0 * norm.cdf(z), 1.0))
+    p = float(min(2.0 * special.ndtr(z), 1.0))
     return float(statistic), p
 
 

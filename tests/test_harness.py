@@ -89,6 +89,52 @@ class TestRunPlan:
         _, rows = read_rows(tmp_path / "records.csv")
         assert len(rows) == 3
 
+    def test_torn_final_row_is_rerun(self, tmp_path):
+        plan = ExperimentPlan(algorithms=["quasar"], **TINY)
+        run_plan(plan, tmp_path)
+        path = tmp_path / "records.csv"
+        _, finished = read_rows(path)
+        # Cut inside the last row's final field: it still parses, with a
+        # wrong evals count, but has no newline.
+        path.write_bytes(path.read_bytes()[:-2])
+        assert len(load_records(path)) == 3
+        run_plan(plan, tmp_path)
+        _, rows = read_rows(path)
+        strip = lambda rows: [r[:8] + r[9:] for r in rows]  # drop runtime col
+        assert strip(rows) == strip(finished)
+        resumed = path.read_bytes()
+        run_plan(plan, tmp_path)
+        assert path.read_bytes() == resumed
+
+    def test_changed_result_fields_refused(self, tmp_path, capsys):
+        run_plan(ExperimentPlan(algorithms=["quasar"], **TINY), tmp_path)
+        plan_json = (tmp_path / "plan.json").read_text()
+        records = (tmp_path / "records.csv").read_text()
+        stale = dict(TINY, g_max=50, master_seed=8)
+        with pytest.raises(ValueError) as err:
+            run_plan(ExperimentPlan(algorithms=["quasar"], **stale), tmp_path)
+        assert "g_max: 5 there, 50 now" in str(err.value)
+        assert "master_seed: 7 there, 8 now" in str(err.value)
+        assert "suite_seed" not in str(err.value)
+        code = cli_main(["run", "--dims", "5", "--pops", "20", "--gmax", "5",
+                         "--trials", "3", "--seed", "7", "--suite-seed", "2",
+                         "--algos", "quasar", "--functions", "sphere",
+                         "--out", str(tmp_path)])
+        assert code == 2
+        assert "suite_seed: 1 there, 2 now" in capsys.readouterr().err
+        assert (tmp_path / "plan.json").read_text() == plan_json
+        assert (tmp_path / "records.csv").read_text() == records
+
+    def test_larger_plan_resumes(self, tmp_path):
+        run_plan(ExperimentPlan(algorithms=["quasar"], **TINY), tmp_path)
+        before = (tmp_path / "records.csv").read_text()
+        grown = dict(TINY, dims=[5, 6], pop_sizes=[20, 30], trials=4,
+                     functions=["sphere", "rastrigin"])
+        run_plan(ExperimentPlan(algorithms=["quasar", "de"], **grown), tmp_path)
+        after = (tmp_path / "records.csv").read_text()
+        assert after.startswith(before)
+        assert len(after.splitlines()) == 1 + 4 * 2 * 2 * 4  # cells*fns*algos*trials
+
     def test_deterministic_across_directories(self, tmp_path):
         plan = ExperimentPlan(algorithms=["quasar", "de"], **TINY)
         run_plan(plan, tmp_path / "a")

@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
+from scipy.stats import qmc
 
 from quasar_opt import BoundsBox, InitMethod, RngStream, lhs_sample, sobol_sample, uniform_sample
-from quasar_opt.sampling import SOBOL_MAX_DIM, initial_population
+from quasar_opt.sampling import (
+    SOBOL_MAX_DIM,
+    _digital_shift,
+    _direction_numbers,
+    initial_population,
+)
 
 
 def gray_radical_inverse(i: int) -> float:
@@ -91,6 +97,49 @@ class TestSobol:
         b = BoundsBox(np.array([-3.0, 10.0]), np.array([-1.0, 20.0]))
         pts = sobol_sample(100, b)
         assert np.all(pts >= b.low) and np.all(pts < b.high)
+
+
+def scipy_sobol(n, d):
+    """The oracle: scipy's unscrambled engine after the all-zeros point."""
+    engine = qmc.Sobol(d=d, scramble=False)
+    engine.fast_forward(1)
+    return engine.random(n)
+
+
+class TestSobolMatchesScipy:
+    # n in {1, 2^k - 1, 2^k, 2^k + 1}, with k shrinking as d grows.
+    @pytest.mark.parametrize("d, k", [(1, 12), (2, 10), (10, 9), (100, 7),
+                                      (1000, 5), (SOBOL_MAX_DIM, 3)])
+    def test_bit_exact(self, d, k):
+        for n in (1, 2**k - 1, 2**k, 2**k + 1):
+            assert np.array_equal(sobol_sample(n, unit_box(d)),
+                                  scipy_sobol(n, d)), (n, d)
+
+    def test_direction_numbers_equal_scipy_table(self):
+        # All 30 columns of every dimension, including those only points
+        # past index 2**18 reach; _sv is the scipy engine's own table.
+        engine = qmc.Sobol(d=SOBOL_MAX_DIM, scramble=False)
+        assert np.array_equal(_direction_numbers(SOBOL_MAX_DIM).T, engine._sv)
+
+    def test_bit_exact_scaled(self):
+        b = BoundsBox(np.array([-3.0, 10.0, -1e-3]), np.array([-1.0, 20.0, 5.0]))
+        assert np.array_equal(sobol_sample(37, b),
+                              b.low + scipy_sobol(37, 3) * b.width)
+
+    def test_scrambled_is_digital_shift_of_scipy_points(self):
+        b = BoundsBox.cube(-2.0, 3.0, 6)
+        want = b.low + _digital_shift(scipy_sobol(50, 6), RngStream(9)) * b.width
+        assert np.array_equal(sobol_sample(50, b, RngStream(9), scramble=True),
+                              want)
+
+    def test_count_limit_named(self):
+        with pytest.raises(ValueError, match=r"2\*\*30 - 1"):
+            sobol_sample(2**30, unit_box(1))
+
+    def test_returned_sample_is_a_fresh_array(self):
+        first = sobol_sample(8, unit_box(3))
+        first[:] = -1.0
+        assert np.array_equal(sobol_sample(8, unit_box(3)), scipy_sobol(8, 3))
 
 
 class TestLhs:

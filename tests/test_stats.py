@@ -13,6 +13,7 @@ from quasar_opt import (
     runtime_ratios,
     wilcoxon_signed_rank,
 )
+from quasar_opt.stats import _average_ranks
 
 
 class TestGmerf:
@@ -265,3 +266,86 @@ class TestScenarioResults:
                              errors={"a": np.ones(4), "b": np.ones(4)},
                              runtimes={"a": np.ones(4), "b": np.ones(4)})
         assert sc.n_trials == 4
+
+
+# The package's statistics once called scipy.stats; these oracles are those
+# formulas verbatim, so the scipy.special forms must give the same floats.
+def gmerf_ci_oracle(comp, ref, level):
+    logs = np.log(np.maximum(comp, 1e-12)) - np.log(np.maximum(ref, 1e-12))
+    n = logs.size
+    se = logs.std(ddof=1) / np.sqrt(n)
+    half = scipy.stats.t.ppf(0.5 + level / 2.0, df=n - 1) * se
+    return float(np.exp(logs.mean() - half)), float(np.exp(logs.mean() + half))
+
+
+def friedman_oracle(m):
+    s, a = m.shape
+    ranks = np.apply_along_axis(scipy.stats.rankdata, 1, m)
+    rank_sums = ranks.sum(axis=0)
+    stat = (12.0 / (s * a * (a + 1))) * np.sum(rank_sums ** 2) - 3.0 * s * (a + 1)
+    ties = 0.0
+    for row in ranks:
+        _, counts = np.unique(row, return_counts=True)
+        ties += np.sum(counts.astype(float) ** 3 - counts)
+    c = 1.0 - ties / (s * a * (a * a - 1))
+    if c <= 0:
+        return rank_sums, 0.0, 1.0
+    stat /= c
+    return rank_sums, float(stat), float(scipy.stats.chi2.sf(stat, df=a - 1))
+
+
+def wilcoxon_oracle(x, y):
+    d = x - y
+    d = d[d != 0.0]
+    n = d.size
+    ranks = scipy.stats.rankdata(np.abs(d))
+    statistic = min(ranks[d > 0].sum(), ranks[d < 0].sum())
+    var = n * (n + 1) * (2 * n + 1) / 24.0
+    _, counts = np.unique(ranks, return_counts=True)
+    var -= np.sum(counts.astype(float) ** 3 - counts) / 48.0
+    z = (statistic - n * (n + 1) / 4.0 + 0.5) / np.sqrt(var)
+    return float(statistic), float(min(2.0 * scipy.stats.norm.cdf(z), 1.0))
+
+
+class TestEqualToScipyStats:
+    def test_average_ranks_equal_rankdata_with_ties(self):
+        rng = np.random.default_rng(20)
+        for _ in range(2000):
+            n = int(rng.integers(1, 30))
+            x = rng.integers(0, int(rng.integers(1, 12)), n) * 0.37
+            assert np.array_equal(_average_ranks(x), scipy.stats.rankdata(x))
+
+    def test_gmerf_ci(self):
+        rng = np.random.default_rng(21)
+        for _ in range(300):
+            n = int(rng.integers(2, 40))
+            comp, ref = rng.lognormal(size=n), rng.lognormal(size=n)
+            level = float(rng.uniform(0.05, 0.99))
+            assert gmerf_ci(comp, ref, level) == gmerf_ci_oracle(comp, ref, level)
+
+    def test_friedman_rank_sums(self):
+        rng = np.random.default_rng(22)
+        for _ in range(300):
+            s, a = int(rng.integers(1, 15)), int(rng.integers(2, 7))
+            m = rng.integers(0, int(rng.integers(1, 6)), (s, a)) * 0.5
+            got = friedman_rank_sums(m)
+            sums, stat, p = friedman_oracle(m)
+            assert np.array_equal(got.rank_sums, sums)
+            assert (got.statistic, got.p_value) == (stat, p)
+
+    def test_friedman_statistic_rounded_below_zero(self):
+        # Equal rank sums: the statistic is 0 in exact arithmetic but comes
+        # out a hair negative in floats; its p-value is still exactly 1.
+        m = np.array([(np.arange(7) + r) % 7 for r in range(21)], dtype=float)
+        got = friedman_rank_sums(m)
+        assert got.statistic < 0.0
+        assert (got.statistic, got.p_value) == friedman_oracle(m)[1:]
+        assert got.p_value == 1.0
+
+    def test_wilcoxon_signed_rank(self):
+        rng = np.random.default_rng(23)
+        for _ in range(300):
+            n = int(rng.integers(8, 40))
+            x = np.round(rng.lognormal(size=n), 1)
+            y = np.round(rng.lognormal(size=n), 1)
+            assert wilcoxon_signed_rank(x, y) == wilcoxon_oracle(x, y)
