@@ -90,25 +90,21 @@ class FunctionObjective:
     """Adapter turning a plain callable into an ObjectiveFunction.
 
     `batch` optionally supplies a vectorized form taking an (n, dim) matrix
-    and returning an (n,) vector; optimizers use it when present.
+    and returning an (n,) vector. When given it becomes `evaluate_many`,
+    which `evaluate_rows` uses; without it, rows go through `evaluate`.
     """
 
     def __init__(self, func: Callable[[np.ndarray], float], dim: int,
                  known_optimum: Optional[float] = None,
                  batch: Optional[Callable[[np.ndarray], np.ndarray]] = None):
         self._func = func
-        self._batch = batch
         self.dim = int(dim)
         self.known_optimum = known_optimum
+        if batch is not None:
+            self.evaluate_many = batch
 
     def evaluate(self, x: np.ndarray) -> float:
         return float(self._func(np.asarray(x, dtype=float)))
-
-    def evaluate_many(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        if self._batch is not None:
-            return np.asarray(self._batch(X), dtype=float)
-        return np.array([self._func(row) for row in X], dtype=float)
 
 
 def as_objective(f, dim: int) -> ObjectiveFunction:

@@ -20,7 +20,7 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -41,6 +41,7 @@ from .stats import (
     SummaryTable,
     gmerf,
     gmerf_ci,
+    gmerf_overall,
     friedman_rank_sums,
     runtime_ratios,
     wilcoxon_signed_rank,
@@ -113,6 +114,21 @@ class ExperimentPlan:
                 f"algorithms must be a nonempty subset of {ALGORITHMS}, "
                 f"got {tuple(self.algorithms)}"
             )
+        if self.functions is not None and not self.functions:
+            raise ValueError("functions must be nonempty (None runs the suite)")
+        for name in ("dims", "pop_sizes", "algorithms"):
+            values = list(getattr(self, name))
+            repeated = {v for v in values if values.count(v) > 1}
+            if repeated:
+                raise ValueError(f"{name} repeats {sorted(repeated)}")
+        configs = {"quasar": QuasarConfig, "de": DeConfig}
+        for algo in self.algorithms:
+            for pop in dict.fromkeys(p for _, p in self.cells()):
+                try:
+                    configs[algo](pop_size=pop)
+                except ValueError as exc:
+                    raise ValueError(
+                        f"{algo} cannot run pop {pop}: {exc}") from None
 
     def cells(self) -> List[Tuple[int, int]]:
         if self.mode == "dim":
@@ -120,20 +136,6 @@ class ExperimentPlan:
         if self.mode == "sample":
             return [(self.dims[0], p) for p in self.pop_sizes]
         return [(d, p) for d in self.dims for p in self.pop_sizes]
-
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "dims": list(self.dims),
-            "pop_sizes": list(self.pop_sizes),
-            "g_max": self.g_max,
-            "trials": self.trials,
-            "master_seed": self.master_seed,
-            "suite_seed": self.suite_seed,
-            "algorithms": list(self.algorithms),
-            "functions": list(self.functions) if self.functions else None,
-            "save_traces": self.save_traces,
-        }
 
 
 def derive_seed(master_seed: int, algo: str, function: str, dim: int,
@@ -211,7 +213,7 @@ def _check_same_results(plan_path: Path, plan: ExperimentPlan) -> None:
     algorithms is fine."""
     if not plan_path.exists():
         return
-    old, new = json.loads(plan_path.read_text()), plan.to_dict()
+    old, new = json.loads(plan_path.read_text()), asdict(plan)
     diffs = [f"{k}: {old.get(k)!r} there, {new[k]!r} now"
              for k in RESULT_FIELDS if old.get(k) != new[k]]
     if diffs:
@@ -243,7 +245,7 @@ def run_plan(plan: ExperimentPlan, out_dir) -> SummaryTable:
     out.mkdir(parents=True, exist_ok=True)
     records_path = out / "records.csv"
     _check_same_results(out / "plan.json", plan)
-    (out / "plan.json").write_text(json.dumps(plan.to_dict(), indent=2))
+    (out / "plan.json").write_text(json.dumps(asdict(plan), indent=2))
 
     done = set()
     if records_path.exists():
@@ -365,14 +367,15 @@ def _scenario_summary(sc: ScenarioResults, reference: Optional[str]) -> Scenario
             continue
         g = gmerf(err, ref_err)
         summary.gmerf[algo] = g
-        if len(err) >= 2:
-            lo, hi = gmerf_ci(err, ref_err)
-        else:
-            lo = hi = g
-        summary.gmerf_ci[algo] = [lo, hi]
+        summary.gmerf_ci[algo] = _ci(err, ref_err, g)
         summary.p_error[algo] = _paired_p(err, ref_err)
         summary.p_runtime[algo] = _paired_p(sc.runtimes[algo], ref_time)
     return summary
+
+
+def _ci(comp: np.ndarray, ref: np.ndarray, point: float) -> List[float]:
+    """95% GMERF interval; a single trial has no spread, so [point, point]."""
+    return list(gmerf_ci(comp, ref)) if comp.size >= 2 else [point, point]
 
 
 def _paired_p(x: np.ndarray, y: np.ndarray) -> Optional[float]:
@@ -420,18 +423,12 @@ def summarize_records(records: List[TrialRecord]) -> SummaryTable:
                     if algo in sc.errors and reference in sc.errors]
             if not pair:
                 continue
-            per_scenario = [gmerf(sc.errors[algo], sc.errors[reference])
-                            for sc in pair]
-            gmerf_overall_d[algo] = float(
-                np.exp(np.mean(np.log(per_scenario)))
-            )
-            pooled_comp = np.concatenate([sc.errors[algo] for sc in pair])
-            pooled_ref = np.concatenate([sc.errors[reference] for sc in pair])
-            if pooled_comp.size >= 2:
-                lo, hi = gmerf_ci(pooled_comp, pooled_ref)
-            else:
-                lo = hi = gmerf_overall_d[algo]
-            gmerf_overall_ci[algo] = [lo, hi]
+            g = gmerf_overall([gmerf(sc.errors[algo], sc.errors[reference])
+                               for sc in pair])
+            gmerf_overall_d[algo] = g
+            gmerf_overall_ci[algo] = _ci(
+                np.concatenate([sc.errors[algo] for sc in pair]),
+                np.concatenate([sc.errors[reference] for sc in pair]), g)
 
             tc = np.concatenate([sc.runtimes[algo] for sc in pair])
             tr = np.concatenate([sc.runtimes[reference] for sc in pair])
@@ -466,7 +463,7 @@ def emit_summary(records_path, out_dir=None) -> SummaryTable:
     table = summarize_records(load_records(records_path))
 
     (out / "summary.json").write_text(
-        json.dumps(table.to_dict(), indent=2, sort_keys=True) + "\n"
+        json.dumps(asdict(table), indent=2, sort_keys=True) + "\n"
     )
     lines = ["algo,function,dim,pop,gm_error,mean_runtime_sec"]
     for sc in table.scenarios:

@@ -243,25 +243,6 @@ class ScenarioSummary:
     p_runtime: Dict[str, Optional[float]] = field(default_factory=dict)
     error_floor_applied: bool = False
 
-    def to_dict(self) -> dict:
-        return {
-            "function": self.function,
-            "dim": self.dim,
-            "pop": self.pop,
-            "n_trials": self.n_trials,
-            "gm_error": self.gm_error,
-            "mean_runtime": self.mean_runtime,
-            "gmerf": self.gmerf,
-            "gmerf_ci": self.gmerf_ci,
-            "p_error": self.p_error,
-            "p_runtime": self.p_runtime,
-            "error_floor_applied": self.error_floor_applied,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ScenarioSummary":
-        return cls(**d)
-
 
 @dataclass
 class SummaryTable:
@@ -280,24 +261,8 @@ class SummaryTable:
     runtime_ratio_overall: Dict[str, float]
     n_failed_trials: int = 0
 
-    def to_dict(self) -> dict:
-        return {
-            "algorithms": self.algorithms,
-            "reference": self.reference,
-            "scenarios": [s.to_dict() for s in self.scenarios],
-            "rank_sums": self.rank_sums,
-            "friedman_statistic": self.friedman_statistic,
-            "friedman_p": self.friedman_p,
-            "gmerf_overall": self.gmerf_overall,
-            "gmerf_overall_ci": self.gmerf_overall_ci,
-            "runtime_ratio_by_dim": self.runtime_ratio_by_dim,
-            "runtime_ratio_by_pop": self.runtime_ratio_by_pop,
-            "runtime_ratio_overall": self.runtime_ratio_overall,
-            "n_failed_trials": self.n_failed_trials,
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "SummaryTable":
-        d = dict(d)
-        d["scenarios"] = [ScenarioSummary.from_dict(s) for s in d["scenarios"]]
-        return cls(**d)
+        """Rebuild a table from ``dataclasses.asdict`` output (summary.json)."""
+        return cls(**{**d, "scenarios": [ScenarioSummary(**s)
+                                         for s in d["scenarios"]]})

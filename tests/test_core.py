@@ -3,12 +3,14 @@ import pytest
 
 from quasar_opt import (
     BoundsBox,
+    FunctionObjective,
     Population,
     RngStream,
     best_of,
     clip_to_bounds,
     rank_population,
 )
+from quasar_opt.core import evaluate_rows
 
 
 def make_pop(fitness, dim=2):
@@ -150,3 +152,16 @@ class TestPopulation:
             Population(np.zeros((3, 2)), np.zeros(4))
         with pytest.raises(ValueError):
             Population(np.zeros(3), np.zeros(3))
+
+
+class TestEvaluateRows:
+    def test_batch_and_row_paths_agree(self):
+        X = np.arange(12.0).reshape(4, 3) - 5.0
+        rowwise = FunctionObjective(lambda x: float(np.sum(x * x)), 3)
+        batched = FunctionObjective(lambda x: float(np.sum(x * x)), 3,
+                                    batch=lambda X: np.sum(X * X, axis=1))
+        assert not hasattr(rowwise, "evaluate_many")
+        assert np.array_equal(evaluate_rows(rowwise, X),
+                              evaluate_rows(batched, X))
+        assert evaluate_rows(rowwise, X).tolist() == \
+            [rowwise.evaluate(x) for x in X]

@@ -7,7 +7,13 @@ where reinitialization replaces most of the population every generation
 (including generations with an empty variation set), and runs that reach
 both Cholesky fallbacks (rank-deficient elites in a wide box, and a plateau
 objective whose elites are the same points every generation).
+
+The harness cases pin the exact bytes of ``summary.json``, ``plot_data.csv``
+and ``plan.json`` for fixed inputs, so a change to the summary path that
+alters any output byte fails here too.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -16,12 +22,16 @@ import quasar_opt.quasar as quasar_mod
 from quasar_opt import (
     BoundsBox,
     DeConfig,
+    ExperimentPlan,
     FunctionObjective,
     QuasarConfig,
     de_optimize,
+    emit_summary,
     make_suite,
     optimize,
+    run_plan,
 )
+from quasar_opt.harness import CSV_HEADER
 
 
 def suite_function(name, dim, seed):
@@ -125,3 +135,114 @@ def test_de_golden(name):
     result = de_optimize(f, bounds, cfg)
     assert (repr(result.error), result.eval_count) == DE_GOLDEN[name]
 
+
+
+# Summary bytes. A fixed synthetic records file covers every branch of the
+# summary path: per-scenario and pooled confidence intervals (with the
+# point-value fallback for one trial), an error floored at 1e-12, a NaN
+# row, a trial present for one algorithm only, a one-algorithm scenario, a
+# Friedman tie on medians, identical runtimes (p = 1) and too few nonzero
+# pairs (p = None).
+
+# (function, dim, pop): {algo: (errors, runtimes)}, trial t is index t.
+SUMMARY_CELLS = {
+    ("sphere", 10, 50): {
+        "quasar": ([0.5, 0.25, 1.5, 0.75, 2.0, 0.125],
+                   [0.011, 0.012, 0.010, 0.013, 0.011, 0.012]),
+        "de": ([2.0, 3.5, 1.0, 4.0, 2.5, 6.0],
+               [0.020, 0.021, 0.019, 0.022, 0.020, 0.023]),
+    },
+    ("ackley", 10, 50): {
+        "quasar": ([0.0, 1e-3, 2e-3, 5e-4, 1e-13, 3e-3],
+                   [0.011, 0.011, 0.012, 0.010, 0.011, 0.012]),
+        "de": ([0.1, 0.2, 0.05, 0.3, 0.15, float("nan")],
+               [0.020, 0.020, 0.021, 0.019, 0.020, float("nan")]),
+    },
+    ("sphere", 20, 100): {
+        "quasar": ([1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [0.05] * 6),
+        "de": ([0.5, 3.0, 4.0, 6.0, 8.0, 2.0], [0.05] * 6),
+    },
+    ("ackley", 20, 100): {
+        "quasar": ([0.4], [0.06]),
+        "de": ([0.8], [0.09]),
+    },
+    ("rastrigin", 20, 100): {
+        "quasar": ([10.0, 12.0, 9.0, 11.0, 13.0, 8.0], [0.07] * 6),
+    },
+}
+
+SINGLE_TRIAL_CELLS = {
+    ("sphere", 10, 50): {"quasar": ([0.3], [0.01]), "de": ([0.9], [0.02])},
+}
+
+# name: (SHA-256 of summary.json, plot_data.csv text)
+SUMMARY_GOLDEN = {
+    "mixed": (
+        "8f3650ba019a4b38a038b9e6ba76c0ba9fc4fdfc5dd265a62b159c107378fe02",
+        "algo,function,dim,pop,gm_error,mean_runtime_sec\n"
+        "quasar,sphere,10,50,0.5723571212766659,0.011499999999999998\n"
+        "de,sphere,10,50,2.7365804185549725,0.020833333333333332\n"
+        "quasar,ackley,10,50,2.5118864315095823e-07,0.011000000000000001\n"
+        "de,ackley,10,50,0.13509600385206136,0.02\n"
+        "quasar,sphere,20,100,2.993795165523909,0.049999999999999996\n"
+        "de,sphere,20,100,2.8844991406148166,0.049999999999999996\n"
+        "quasar,ackley,20,100,0.4,0.06\n"
+        "de,ackley,20,100,0.8,0.09\n"
+        "quasar,rastrigin,20,100,10.358772535435621,0.07\n"),
+    "single_trial": (
+        "b750c67a690b2c2b3ed134a2c57491fcdd8ae6081b7969bcbbb73e90b5ddc91c",
+        "algo,function,dim,pop,gm_error,mean_runtime_sec\n"
+        "quasar,sphere,10,50,0.3,0.01\n"
+        "de,sphere,10,50,0.9,0.02\n"),
+}
+
+PLAN_JSON_GOLDEN = """{
+  "mode": "sample",
+  "dims": [
+    5
+  ],
+  "pop_sizes": [
+    20,
+    30
+  ],
+  "g_max": 1,
+  "trials": 1,
+  "master_seed": 9,
+  "suite_seed": 1,
+  "algorithms": [
+    "de"
+  ],
+  "functions": [
+    "sphere"
+  ],
+  "save_traces": false
+}"""
+
+
+def write_cells(path, cells):
+    lines = [CSV_HEADER]
+    for (function, dim, pop), per_algo in cells.items():
+        for algo, (errors, runtimes) in per_algo.items():
+            for t, (e, rt) in enumerate(zip(errors, runtimes)):
+                lines.append(f"{algo},{function},{dim},{pop},5,{t},{t + 1},"
+                             f"{e!r},{rt!r},100")
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("name,cells", [("mixed", SUMMARY_CELLS),
+                                        ("single_trial", SINGLE_TRIAL_CELLS)])
+def test_summary_bytes_golden(name, cells, tmp_path):
+    write_cells(tmp_path / "records.csv", cells)
+    emit_summary(tmp_path / "records.csv")
+    summary = (tmp_path / "summary.json").read_bytes()
+    plot_data = (tmp_path / "plot_data.csv").read_text()
+    assert (hashlib.sha256(summary).hexdigest(), plot_data) == \
+        SUMMARY_GOLDEN[name]
+
+
+def test_plan_json_golden(tmp_path):
+    plan = ExperimentPlan(mode="sample", dims=(5,), pop_sizes=[20, 30],
+                          g_max=1, trials=1, master_seed=9,
+                          algorithms=("de",), functions=("sphere",))
+    run_plan(plan, tmp_path)
+    assert (tmp_path / "plan.json").read_text() == PLAN_JSON_GOLDEN

@@ -54,6 +54,22 @@ class TestPlan:
             ExperimentPlan(trials=0)
         with pytest.raises(ValueError):
             ExperimentPlan(algorithms=["simulated-annealing"])
+        with pytest.raises(ValueError, match="functions must be nonempty"):
+            ExperimentPlan(functions=[])
+
+    def test_repeated_entries_refused(self):
+        with pytest.raises(ValueError, match=r"pop_sizes repeats \[20\]"):
+            ExperimentPlan(dims=[5], pop_sizes=[20, 30, 20])
+        with pytest.raises(ValueError, match=r"algorithms repeats \['de'\]"):
+            ExperimentPlan(algorithms=["de", "quasar", "de"])
+
+    def test_population_below_an_algorithms_minimum_refused(self):
+        # DE needs 4 members, QUASAR 5: pop 4 is fine for DE alone.
+        ExperimentPlan(dims=[5], pop_sizes=[4], algorithms=["de"])
+        with pytest.raises(ValueError, match="de cannot run pop 3"):
+            ExperimentPlan(dims=[5], pop_sizes=[3], algorithms=["de"])
+        # Only the pops the plan runs count: mode "dim" runs the first.
+        ExperimentPlan(mode="dim", dims=[5], pop_sizes=[20, 3])
 
 
 class TestRunPlan:
@@ -339,6 +355,23 @@ class TestCli:
         code = cli_main(["run", "--trials", "0", "--out", str(tmp_path / "x")])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args,message", [
+        (["--dims", "5", "--pops", "4"], "quasar cannot run pop 4"),
+        (["--dims", "5,5", "--pops", "20"], "dims repeats [5]"),
+    ])
+    def test_bad_plan_refused_before_any_trial(self, tmp_path, capsys,
+                                               monkeypatch, args, message):
+        def no_trial(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(harness, "run_trial", no_trial)
+        out = tmp_path / "bad"
+        code = cli_main(["run", *args, "--gmax", "3", "--trials", "2",
+                         "--functions", "sphere", "--out", str(out)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "records.csv").exists()
 
     def test_unknown_function_rejected(self, tmp_path, capsys):
         code = cli_main(["run", "--functions", "made_up",
