@@ -44,16 +44,28 @@ def rosenbrock(z):
     return np.sum(100.0 * (b - a ** 2) ** 2 + (1.0 - a) ** 2, axis=-1)
 
 
+def _cos_2pi(z):
+    """cos(2*pi*z) in one new array: the cosine overwrites the product, and
+    z itself is never written."""
+    c = 2.0 * np.pi * z
+    return np.cos(c, out=c)
+
+
 def rastrigin(z):
     z = np.asarray(z, dtype=float)
-    return np.sum(z * z - 10.0 * np.cos(2.0 * np.pi * z) + 10.0, axis=-1)
+    c = _cos_2pi(z)
+    c *= 10.0
+    t = z * z
+    t -= c
+    t += 10.0
+    return np.sum(t, axis=-1)
 
 
 def ackley(z):
     z = np.asarray(z, dtype=float)
     d = z.shape[-1]
     s1 = np.sqrt(np.sum(z * z, axis=-1) / d)
-    s2 = np.sum(np.cos(2.0 * np.pi * z), axis=-1) / d
+    s2 = np.sum(_cos_2pi(z), axis=-1) / d
     return -20.0 * np.exp(-0.2 * s1) - np.exp(s2) + 20.0 + np.e
 
 

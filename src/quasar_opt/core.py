@@ -60,15 +60,19 @@ class BoundsBox:
         return bool(np.all(p >= self.low) and np.all(p <= self.high))
 
 
-def clip_to_bounds(y: np.ndarray, bounds: BoundsBox) -> np.ndarray:
-    """Clamp a position (or a stack of positions) into the box, elementwise."""
+def clip_to_bounds(y: np.ndarray, bounds: BoundsBox,
+                   out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Clamp a position (or a stack of positions) into the box, elementwise.
+
+    The result goes to `out` when given, which may be y itself."""
     y = np.asarray(y, dtype=float)
     if y.shape[-1] != bounds.dim:
         raise ValueError(
             f"dimension mismatch: position has {y.shape[-1]} components, "
             f"bounds have {bounds.dim}"
         )
-    return np.minimum(np.maximum(y, bounds.low), bounds.high)
+    out = np.maximum(y, bounds.low, out=out)
+    return np.minimum(out, bounds.high, out=out)
 
 
 @runtime_checkable

@@ -19,7 +19,7 @@ from .core import (
     require_finite,
     run_generations,
 )
-from .sampling import InitMethod, initial_population
+from .sampling import InitMethod, initial_population, prepare_init
 
 
 @dataclass
@@ -76,9 +76,13 @@ def _de_step(objective, bounds: BoundsBox, pop: Population, cfg: DeConfig,
     n, d = pop.size, pop.dim
     r1, r2, r3 = _distinct_donors(rng, n)
     x = pop.positions
-    # take() is the fast row gather; x[idx] costs ~4x more here.
-    x1, x2, x3 = x.take(r1, axis=0), x.take(r2, axis=0), x.take(r3, axis=0)
-    trials = clip_to_bounds(x1 + cfg.f_weight * (x2 - x3), bounds)
+    # take() is the fast row gather; x[idx] costs ~4x more here. The mutants
+    # are built in place; + and * commute bit for bit in IEEE arithmetic.
+    trials = x.take(r2, axis=0)
+    trials -= x.take(r3, axis=0)
+    trials *= cfg.f_weight
+    trials += x.take(r1, axis=0)
+    clip_to_bounds(trials, bounds, out=trials)
     j_rand = rng.integers(0, d, size=n)
     # Keep the target's component where rand > CR, except at j_rand.
     keep = rng.random((n, d)) > cfg.cr
@@ -104,6 +108,7 @@ def de_optimize(f, bounds: BoundsBox, cfg: Optional[DeConfig] = None) -> OptResu
     objective = as_objective(f, bounds.dim)
     n = cfg.resolved_pop_size(bounds.dim)
     rng = RngStream(cfg.seed)
+    prepare_init(cfg.init_method, bounds.dim)
 
     t0 = time.perf_counter()
     positions = initial_population(cfg.init_method, n, bounds, rng)

@@ -18,7 +18,6 @@ import csv
 import hashlib
 import json
 import os
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import lru_cache
@@ -29,11 +28,9 @@ import numpy as np
 
 from . import de as de_mod
 from . import quasar as quasar_mod
-from .benchmarks import make_suite
-from .core import BoundsBox
+from .benchmarks import BASE_FUNCTIONS, make_suite
 from .de import DeConfig
 from .quasar import QuasarConfig
-from .sampling import sobol_sample
 from .stats import (
     ERROR_FLOOR,
     ScenarioResults,
@@ -114,8 +111,13 @@ class ExperimentPlan:
                 f"algorithms must be a nonempty subset of {ALGORITHMS}, "
                 f"got {tuple(self.algorithms)}"
             )
-        if self.functions is not None and not self.functions:
-            raise ValueError("functions must be nonempty (None runs the suite)")
+        if self.functions is not None:
+            if not self.functions:
+                raise ValueError(
+                    "functions must be nonempty (None runs the suite)")
+            unknown = set(self.functions) - set(BASE_FUNCTIONS)
+            if unknown:
+                raise ValueError(f"unknown suite functions: {sorted(unknown)}")
         for name in ("dims", "pop_sizes", "algorithms"):
             values = list(getattr(self, name))
             repeated = {v for v in values if values.count(v) > 1}
@@ -158,9 +160,6 @@ def _plan_jobs(plan: ExperimentPlan, trace_dir: Optional[str]) -> List[tuple]:
         suite = _suite(dim, plan.suite_seed)
         names = [f.name for f in suite]
         if plan.functions is not None:
-            missing = set(plan.functions) - set(names)
-            if missing:
-                raise ValueError(f"unknown suite functions: {sorted(missing)}")
             names = [n for n in names if n in set(plan.functions)]
         for name in names:
             for algo in plan.algorithms:
@@ -175,10 +174,12 @@ def _plan_jobs(plan: ExperimentPlan, trace_dir: Optional[str]) -> List[tuple]:
 def run_trial(algo: str, function: str, dim: int, pop: int, gmax: int,
               trial: int, seed: int, suite_seed: int,
               trace_dir: Optional[str] = None) -> TrialRecord:
-    """Execute one seeded trial; objective failures become NaN rows."""
+    """Execute one seeded trial; objective failures become NaN rows.
+
+    runtime_sec is the optimizer's own OptResult.runtime_seconds, which
+    excludes the process's one-time sampler set-up."""
     fn = next(f for f in _suite(dim, suite_seed) if f.name == function)
     try:
-        t0 = time.perf_counter()
         if algo == "quasar":
             cfg = QuasarConfig(pop_size=pop, g_max=gmax, seed=seed)
             result = quasar_mod.optimize(fn, fn.bounds, cfg)
@@ -187,7 +188,6 @@ def run_trial(algo: str, function: str, dim: int, pop: int, gmax: int,
             result = de_mod.de_optimize(fn, fn.bounds, cfg)
         else:
             raise ValueError(f"unknown algorithm: {algo!r}")
-        runtime = time.perf_counter() - t0
     except (ValueError, FloatingPointError):
         # Failed-row marker; the run continues with the remaining trials.
         return TrialRecord(algo, function, dim, pop, gmax, trial, seed,
@@ -197,14 +197,8 @@ def run_trial(algo: str, function: str, dim: int, pop: int, gmax: int,
         path.parent.mkdir(parents=True, exist_ok=True)
         np.savetxt(path, result.trace)
     return TrialRecord(algo, function, dim, pop, gmax, trial, seed,
-                       result.error, runtime, result.eval_count)
-
-
-def _warm_up() -> None:
-    """Load the Sobol direction table (~15-20 ms, once per process) before
-    any trial is timed, so it does not land in the first trial's
-    runtime_sec."""
-    sobol_sample(1, BoundsBox.cube(0.0, 1.0, 1))
+                       result.error, result.runtime_seconds,
+                       result.eval_count)
 
 
 def _check_same_results(plan_path: Path, plan: ExperimentPlan) -> None:
@@ -262,14 +256,12 @@ def run_plan(plan: ExperimentPlan, out_dir) -> SummaryTable:
     workers = int(os.environ.get(WORKERS_ENV, "1"))
     with open(records_path, "a") as fh:
         if workers > 1 and len(jobs) > 1:
-            with ProcessPoolExecutor(max_workers=workers,
-                                     initializer=_warm_up) as pool:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 # Submission order == canonical order; write in that order.
                 for record in pool.map(run_trial, *zip(*jobs)):
                     fh.write(record.csv_row() + "\n")
                     fh.flush()
-        elif jobs:
-            _warm_up()
+        else:
             for job in jobs:
                 fh.write(run_trial(*job).csv_row() + "\n")
                 fh.flush()

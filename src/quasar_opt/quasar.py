@@ -28,7 +28,7 @@ from .core import (
     require_finite,
     run_generations,
 )
-from .sampling import InitMethod, initial_population
+from .sampling import InitMethod, initial_population, prepare_init
 
 # Factor distributions: local exploitation N(0, 0.33^2); global exploration
 # is an equal-weight mixture of N(+0.5, 0.25^2) and N(-0.5, 0.25^2).
@@ -194,14 +194,19 @@ def _build_mutants(positions: np.ndarray, best_idx: int, var_idx: np.ndarray,
 
     Every strategy is X_p + F * (X_q - X_rand), with (p, q) = (best, i),
     (i, best) and (rand, i) for SPOOKY_BEST, SPOOKY_CURRENT and
-    SPOOKY_RANDOM, so one gather per operand serves all three.
+    SPOOKY_RANDOM, so one gather per operand serves all three. It is built
+    in the gathered X_q rows; + and * commute bit for bit in IEEE
+    arithmetic, so the order of the operands does not change the result.
     """
     p = strategies.choose((best_idx, var_idx, rand_idx))
     q = np.where(strategies == int(MutationStrategy.SPOOKY_CURRENT),
                  best_idx, var_idx)
     # take() is the fast row gather; positions[idx] costs ~4x more here.
-    xp, xq, xr = (positions.take(k, axis=0) for k in (p, q, rand_idx))
-    return xp + f[:, None] * (xq - xr)
+    v = positions.take(q, axis=0)
+    v -= positions.take(rand_idx, axis=0)
+    v *= f[:, None]
+    v += positions.take(p, axis=0)
+    return v
 
 
 def crossover_rate(rank, n: int, cr_floor: float = 0.33):
@@ -283,21 +288,22 @@ def _reinit_batch(stats: EliteStats, bounds: BoundsBox, rng: RngStream,
     d = mu.size
     # Gaussians and noise in one draw: the same stream use as two draws.
     z = rng.normal(size=(2 * count, d))
-    noise = z[count:] * (bounds.width / noise_divisor)
-    z = z[:count]
+    z, noise = z[:count], z[count:]
+    noise *= bounds.width / noise_divisor
     fallback = 0
     try:
-        chol = np.linalg.cholesky(sigma)
-        y = mu + z @ chol.T
+        y = z @ np.linalg.cholesky(sigma).T
     except np.linalg.LinAlgError:
         try:
             chol = np.linalg.cholesky(sigma + stats.epsilon * 1e6 * np.eye(d))
-            y = mu + z @ chol.T
+            y = z @ chol.T
             fallback = 1
         except np.linalg.LinAlgError:
-            y = mu + z * np.sqrt(np.maximum(np.diag(sigma), 0.0))
+            y = z * np.sqrt(np.maximum(np.diag(sigma), 0.0))
             fallback = 2
-    return clip_to_bounds(y + noise, bounds), fallback
+    y += mu
+    y += noise
+    return clip_to_bounds(y, bounds, out=y), fallback
 
 
 def sample_reinit_position(stats: EliteStats, bounds: BoundsBox,
@@ -369,13 +375,13 @@ def step(objective, bounds: BoundsBox, pop: Population, cfg: QuasarConfig,
     r = rng.integers(0, n - 1, size=m)
     rand_idx = r + (r >= var_idx)
 
-    mutants = clip_to_bounds(
-        _build_mutants(positions, best_idx, var_idx, strategies, f, rand_idx),
-        bounds,
-    )
+    trials = _build_mutants(positions, best_idx, var_idx, strategies, f,
+                            rand_idx)
+    clip_to_bounds(trials, bounds, out=trials)
     cr = crossover_rate(ranks[var_idx], n, cfg.cr_floor)
-    mix = rng.random((m, d)) <= cr[:, None]
-    trials = np.where(mix, mutants, positions.take(var_idx, axis=0))
+    # The mutant's component where rand <= CR, else the target's.
+    keep = rng.random((m, d)) > cr[:, None]
+    np.copyto(trials, positions.take(var_idx, axis=0), where=keep)
     trial_fit = evaluate_rows(objective, trials)
     require_finite(trial_fit, pop.generation, var_idx)
 
@@ -422,6 +428,7 @@ def optimize(f, bounds: BoundsBox, cfg: Optional[QuasarConfig] = None) -> OptRes
     objective = as_objective(f, bounds.dim)
     n = cfg.resolved_pop_size(bounds.dim)
     rng = RngStream(cfg.seed)
+    prepare_init(cfg.init_method, bounds.dim)
 
     t0 = time.perf_counter()
     positions = initial_population(cfg.init_method, n, bounds, rng)

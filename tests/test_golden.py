@@ -6,7 +6,8 @@ StepInfo counts summed over the run. The cases cover a plain run, a run
 where reinitialization replaces most of the population every generation
 (including generations with an empty variation set), and runs that reach
 both Cholesky fallbacks (rank-deficient elites in a wide box, and a plateau
-objective whose elites are the same points every generation).
+objective whose elites are the same points every generation). One QUASAR and
+one DE case run at D=40, N=400, far above the other cases' sizes.
 
 The harness cases pin the exact bytes of ``summary.json``, ``plot_data.csv``
 and ``plan.json`` for fixed inputs, so a change to the summary path that
@@ -52,6 +53,7 @@ def plateau(dim):
 def quasar_cases():
     rastrigin = suite_function("rastrigin", 10, 3)
     ackley = suite_function("ackley", 6, 4)
+    ackley40 = suite_function("ackley", 40, 6)
     return {
         "rastrigin_d10": (rastrigin, rastrigin.bounds,
                           QuasarConfig(pop_size=40, g_max=30, seed=11)),
@@ -64,6 +66,8 @@ def quasar_cases():
                                QuasarConfig(pop_size=12, g_max=20, seed=1)),
         "plateau_fallbacks": (plateau(4), BoundsBox.cube(-1e5, 1e5, 4),
                               QuasarConfig(pop_size=12, g_max=10, seed=2)),
+        "ackley_d40": (ackley40, ackley40.bounds,
+                       QuasarConfig(pop_size=400, g_max=4, seed=21)),
     }
 
 
@@ -78,17 +82,22 @@ QUASAR_GOLDEN = {
         ('162292803129.25977', 252, 18, 117, [77, 64, 81], [8, 5, 7]),
     "plateau_fallbacks":
         ('1.0', 132, 13, 0, [39, 31, 37], [3, 7, 0]),
+    "ackley_d40":
+        ('21.20058594126053', 2000, 229, 343, [426, 463, 482], [4, 0, 0]),
 }
 
 
 def de_cases():
     rastrigin = suite_function("rastrigin", 10, 3)
     rosenbrock = suite_function("rosenbrock", 5, 7)
+    rosenbrock40 = suite_function("rosenbrock", 40, 6)
     return {
         "rastrigin_d10": (rastrigin, rastrigin.bounds,
                           DeConfig(pop_size=40, g_max=30, seed=11)),
         "rosenbrock_d5": (rosenbrock, rosenbrock.bounds,
                           DeConfig(pop_size=20, g_max=40, seed=3)),
+        "rosenbrock_d40": (rosenbrock40, rosenbrock40.bounds,
+                           DeConfig(pop_size=400, g_max=4, seed=21)),
     }
 
 
@@ -98,6 +107,8 @@ DE_GOLDEN = {
         ('688.214597911963', 1240),
     "rosenbrock_d5":
         ('670.5555767483222', 820),
+    "rosenbrock_d40":
+        ('58942111500.5989', 2000),
 }
 
 

@@ -1,11 +1,26 @@
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import quasar_opt.de as de_mod
 import quasar_opt.harness as harness
-from quasar_opt import ExperimentPlan, SummaryTable, derive_seed, emit_summary, run_plan
+import quasar_opt.quasar as quasar_mod
+import quasar_opt.sampling as sampling
+from quasar_opt import (
+    BoundsBox,
+    DeConfig,
+    ExperimentPlan,
+    QuasarConfig,
+    SummaryTable,
+    de_optimize,
+    derive_seed,
+    emit_summary,
+    optimize,
+    run_plan,
+)
 from quasar_opt.cli import main as cli_main
 from quasar_opt.harness import CSV_HEADER, load_records
 
@@ -56,6 +71,9 @@ class TestPlan:
             ExperimentPlan(algorithms=["simulated-annealing"])
         with pytest.raises(ValueError, match="functions must be nonempty"):
             ExperimentPlan(functions=[])
+        with pytest.raises(ValueError, match=r"unknown suite functions: "
+                                             r"\['nope'\]"):
+            ExperimentPlan(functions=["sphere", "nope"])
 
     def test_repeated_entries_refused(self):
         with pytest.raises(ValueError, match=r"pop_sizes repeats \[20\]"):
@@ -181,46 +199,55 @@ class TestRunPlan:
 
 
 class TestSamplerWarmUp:
-    """The Sobol set-up cost must be paid before the first timed trial."""
+    """The Sobol table loads once per process, before the first run's clock
+    starts, so no trial's runtime_sec holds that one-time set-up."""
 
-    def record_calls(self, monkeypatch):
+    @pytest.fixture
+    def events(self, monkeypatch):
+        """'load' for each read of the table and 'clock' for each start of
+        a run's clock, in the order they happen."""
         events = []
-        real_trial = harness.run_trial
-        monkeypatch.setattr(harness, "_warm_up",
-                            lambda: events.append("warm"))
-
-        def trial(*args, **kwargs):
-            events.append("trial")
-            return real_trial(*args, **kwargs)
-
-        monkeypatch.setattr(harness, "run_trial", trial)
+        real_load = sampling._joe_kuo
+        real_load.cache_clear()
+        sampling._direction_numbers.cache_clear()
+        monkeypatch.setattr(sampling, "_joe_kuo",
+                            lambda: events.append("load") or real_load())
+        for mod in (quasar_mod, de_mod):
+            clock = mod.time.perf_counter
+            monkeypatch.setattr(mod, "time", SimpleNamespace(
+                perf_counter=lambda clock=clock: events.append("clock")
+                or clock()))
         return events
 
-    def test_serial_warms_once_before_first_trial(self, tmp_path, monkeypatch):
-        events = self.record_calls(monkeypatch)
+    @pytest.mark.parametrize("run,cfg", [(optimize, QuasarConfig),
+                                         (de_optimize, DeConfig)])
+    def test_optimizers_load_before_their_clock(self, events, run, cfg):
+        box = BoundsBox.cube(-1.0, 1.0, 3)
+        run(lambda x: float(x @ x), box, cfg(pop_size=8, g_max=2))
+        assert events == ["load", "clock"]
+
+    def test_serial_warms_once_before_first_trial(self, tmp_path, events):
         run_plan(ExperimentPlan(algorithms=["quasar"], **TINY), tmp_path)
-        assert events == ["warm"] + ["trial"] * 3
+        assert events == ["load"] + ["clock"] * 3
 
     def test_finished_directory_does_not_warm(self, tmp_path, monkeypatch):
         plan = ExperimentPlan(algorithms=["quasar"], **TINY)
         run_plan(plan, tmp_path)
-        events = self.record_calls(monkeypatch)
+        events = []
+        monkeypatch.setattr(sampling, "_direction_numbers",
+                            lambda d: events.append("load"))
         run_plan(plan, tmp_path)
         assert events == []
 
-    def test_pool_workers_warm_before_their_trials(self, tmp_path,
+    def test_pool_workers_warm_before_their_trials(self, tmp_path, events,
                                                    monkeypatch):
-        # An in-process stand-in for the pool: it runs the initializer the
-        # way each worker would, then the jobs.
-        events = self.record_calls(monkeypatch)
-
+        # An in-process stand-in for the pool: each job runs as a worker
+        # would run it, with no set-up of its own before the first.
         class InlinePool:
-            def __init__(self, max_workers, initializer=None):
-                self.initializer = initializer
+            def __init__(self, max_workers):
+                pass
 
             def __enter__(self):
-                if self.initializer is not None:
-                    self.initializer()
                 return self
 
             def __exit__(self, *exc):
@@ -232,7 +259,7 @@ class TestSamplerWarmUp:
         monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setenv(harness.WORKERS_ENV, "2")
         run_plan(ExperimentPlan(algorithms=["quasar"], **TINY), tmp_path)
-        assert events == ["warm"] + ["trial"] * 3
+        assert events == ["load"] + ["clock"] * 3
 
 
 def write_records(path, rows):
@@ -374,7 +401,16 @@ class TestCli:
         assert not (out / "records.csv").exists()
 
     def test_unknown_function_rejected(self, tmp_path, capsys):
-        code = cli_main(["run", "--functions", "made_up",
-                         "--dims", "5", "--pops", "20", "--trials", "1",
-                         "--gmax", "2", "--out", str(tmp_path / "y")])
+        out = tmp_path / "y"
+        argv = ["run", "--dims", "5", "--pops", "20", "--trials", "1",
+                "--out", str(out)]
+        code = cli_main([*argv, "--functions", "sphere,made_up",
+                         "--gmax", "2"])
         assert code == 2
+        assert "unknown suite functions: ['made_up']" in capsys.readouterr().err
+        assert not out.exists()
+        # Nothing was left behind, so a corrected plan with another g_max
+        # runs in the same directory.
+        assert cli_main([*argv, "--functions", "sphere", "--gmax", "3"]) == 0
+        _, rows = read_rows(out / "records.csv")
+        assert [(r[1], r[4]) for r in rows] == [("sphere", "3")] * 2
