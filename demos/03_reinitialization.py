@@ -15,7 +15,7 @@ from quasar_opt import (
     RngStream,
     compute_elite_stats,
     reinit_probability,
-    sample_reinit_position,
+    sample_reinit_positions,
 )
 
 # The decay schedule: P(0) = 1, P(0.33 * g_max) = 0.33, asymptotic tail.
@@ -42,10 +42,10 @@ print("elite covariance diagonal:", np.round(np.diag(stats.sigma), 4))
 # Replacement samples concentrate around the elites but keep exploring:
 # the noise term has standard deviation (high - low) / 20 per dimension.
 bounds = BoundsBox.cube(-10.0, 10.0, d)
-samples = np.array([
-    sample_reinit_position(stats, bounds, rng) for _ in range(2000)
-])
+samples, fallback = sample_reinit_positions(stats, bounds, rng,
+                                             noise_divisor=20.0, count=2000)
 print("\nreplacement sample mean:", np.round(samples.mean(axis=0), 3))
 print("replacement sample std: ", np.round(samples.std(axis=0), 3))
 print("(noise alone contributes std = 20/20 = 1 per dimension)")
 print("all samples inside the box:", bounds.contains(samples))
+print("Cholesky fallback level (0 = covariance used as-is):", fallback)

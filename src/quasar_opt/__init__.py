@@ -1,82 +1,36 @@
 """quasar_opt: the QUASAR evolutionary optimizer, a DE baseline, a
 shifted/rotated benchmark suite, comparison statistics and an experiment
-harness. NumPy/SciPy only."""
+harness. NumPy/SciPy only.
 
-from .core import (
-    BoundsBox,
-    FunctionObjective,
-    ObjectiveFunction,
-    OptResult,
-    Population,
-    RngStream,
-    best_of,
-    clip_to_bounds,
-    rank_population,
-)
-from .sampling import (
-    InitMethod,
-    lhs_sample,
-    sobol_sample,
-    uniform_sample,
-)
+The names below are the public API, as listed in the README's "Public API"
+section. Everything else in the submodules is internal and may change."""
+
+from .core import BoundsBox, OptResult, Population, RngStream
+from .sampling import InitMethod, lhs_sample, sobol_sample, uniform_sample
 from .quasar import (
-    EliteStats,
-    MutationStrategy,
     QuasarConfig,
     StepInfo,
-    binomial_crossover,
     compute_elite_stats,
-    crossover_rate,
-    greedy_select,
-    mutate,
     optimize,
     reinit_probability,
-    sample_f_global,
-    sample_f_local,
-    sample_reinit_position,
-    select_strategy,
+    sample_reinit_positions,
     step,
 )
 from .de import DeConfig, de_optimize
-from .benchmarks import TestFunction, make_function, make_suite, suite_manifest
-from .stats import (
-    FriedmanResult,
-    RuntimeRatios,
-    ScenarioResults,
-    ScenarioSummary,
-    SummaryTable,
-    friedman_rank_sums,
-    gmerf,
-    gmerf_ci,
-    gmerf_overall,
-    runtime_ratios,
-    wilcoxon_signed_rank,
-)
-from .harness import (
-    ExperimentPlan,
-    TrialRecord,
-    derive_seed,
-    emit_summary,
-    run_plan,
-)
+from .benchmarks import make_suite, suite_manifest
+from .stats import gmerf, gmerf_ci, gmerf_overall
+from .harness import ExperimentPlan, emit_summary, run_plan
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundsBox", "FunctionObjective", "ObjectiveFunction", "OptResult",
-    "Population", "RngStream", "best_of", "clip_to_bounds", "rank_population",
+    "BoundsBox", "OptResult", "Population", "RngStream",
     "InitMethod", "lhs_sample", "sobol_sample", "uniform_sample",
-    "EliteStats", "MutationStrategy", "QuasarConfig", "StepInfo",
-    "binomial_crossover", "compute_elite_stats", "crossover_rate",
-    "greedy_select", "mutate", "optimize", "reinit_probability",
-    "sample_f_global", "sample_f_local", "sample_reinit_position",
-    "select_strategy", "step",
+    "QuasarConfig", "StepInfo", "compute_elite_stats", "optimize",
+    "reinit_probability", "sample_reinit_positions", "step",
     "DeConfig", "de_optimize",
-    "TestFunction", "make_function", "make_suite", "suite_manifest",
-    "FriedmanResult", "RuntimeRatios", "ScenarioResults", "ScenarioSummary",
-    "SummaryTable", "friedman_rank_sums", "gmerf", "gmerf_ci",
-    "gmerf_overall", "runtime_ratios", "wilcoxon_signed_rank",
-    "ExperimentPlan", "TrialRecord", "derive_seed", "emit_summary",
-    "run_plan",
+    "make_suite", "suite_manifest",
+    "gmerf", "gmerf_ci", "gmerf_overall",
+    "ExperimentPlan", "emit_summary", "run_plan",
     "__version__",
 ]

@@ -132,24 +132,19 @@ BASE_FUNCTIONS = {
 class TestFunction:
     """A shifted/rotated benchmark objective.
 
-    Evaluates base(M @ (x - o)); the global minimum value is
-    ``optimum_value`` (always 0 here) attained at ``x_opt = o + M.T @ z*``
-    where z* is the base optimum.
+    Evaluates base(M @ (x - o)), where base is the BASE_FUNCTIONS entry
+    named ``name``; the global minimum value is ``known_optimum`` (always 0
+    here) attained at ``x_opt = o + M.T @ z*`` where z* is the base optimum.
     """
 
     name: str
     dim: int
     bounds: BoundsBox
-    base: str
     shift: np.ndarray           # o, (D,)
     rotation: np.ndarray        # M, (D, D) orthogonal
-    optimum_value: float
     x_opt: np.ndarray
+    known_optimum: float = 0.0
     seed: Optional[int] = None
-
-    @property
-    def known_optimum(self) -> float:
-        return self.optimum_value
 
     def evaluate(self, x: np.ndarray) -> float:
         x = np.asarray(x, dtype=float)
@@ -172,7 +167,7 @@ class TestFunction:
 
     @property
     def _base_fn(self) -> Callable:
-        return BASE_FUNCTIONS[self.base][0]
+        return BASE_FUNCTIONS[self.name][0]
 
 
 def random_rotation(dim: int, rng: RngStream) -> np.ndarray:
@@ -206,10 +201,8 @@ def make_function(base: str, dim: int, rng: RngStream,
         name=base,
         dim=dim,
         bounds=bounds,
-        base=base,
         shift=shift,
         rotation=rotation,
-        optimum_value=0.0,
         x_opt=x_opt,
         seed=seed,
     )
@@ -237,7 +230,7 @@ def suite_manifest(suite) -> str:
             "name": fn.name,
             "dim": fn.dim,
             "seed": fn.seed,
-            "optimum_value": fn.optimum_value,
+            "optimum_value": fn.known_optimum,
         }
         for fn in suite
     ]

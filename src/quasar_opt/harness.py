@@ -46,7 +46,13 @@ from .stats import (
 
 CSV_HEADER = "algo,function,dim,pop,gmax,trial,seed,final_error,runtime_sec,evals"
 WORKERS_ENV = "QUASAR_WORKERS"
-ALGORITHMS = ("quasar", "de")
+# Algorithm name -> (config class, module, optimizer name). The optimizer
+# is looked up in its module at call time, so it can be wrapped.
+_OPTIMIZERS = {
+    "quasar": (QuasarConfig, quasar_mod, "optimize"),
+    "de": (DeConfig, de_mod, "de_optimize"),
+}
+ALGORITHMS = tuple(_OPTIMIZERS)
 REFERENCE_ALGO = "quasar"
 # Plan fields that change a trial's result without changing its resume key.
 RESULT_FIELDS = ("g_max", "master_seed", "suite_seed")
@@ -103,6 +109,8 @@ class ExperimentPlan:
             raise ValueError("trials must be at least 1")
         if not self.dims or not self.pop_sizes:
             raise ValueError("dims and pop_sizes must be nonempty")
+        if min(self.dims) < 2:
+            raise ValueError("suite functions need dimension >= 2")
         if self.g_max < 0:
             raise ValueError("g_max must be nonnegative")
         unknown = set(self.algorithms) - set(ALGORITHMS)
@@ -123,11 +131,10 @@ class ExperimentPlan:
             repeated = {v for v in values if values.count(v) > 1}
             if repeated:
                 raise ValueError(f"{name} repeats {sorted(repeated)}")
-        configs = {"quasar": QuasarConfig, "de": DeConfig}
         for algo in self.algorithms:
             for pop in dict.fromkeys(p for _, p in self.cells()):
                 try:
-                    configs[algo](pop_size=pop)
+                    _OPTIMIZERS[algo][0](pop_size=pop)
                 except ValueError as exc:
                     raise ValueError(
                         f"{algo} cannot run pop {pop}: {exc}") from None
@@ -155,12 +162,10 @@ def _suite(dim: int, suite_seed: int):
 
 def _plan_jobs(plan: ExperimentPlan, trace_dir: Optional[str]) -> List[tuple]:
     """Canonical job order: cells, then functions, algorithms, trials."""
+    names = [n for n in BASE_FUNCTIONS
+             if plan.functions is None or n in plan.functions]
     jobs = []
     for dim, pop in plan.cells():
-        suite = _suite(dim, plan.suite_seed)
-        names = [f.name for f in suite]
-        if plan.functions is not None:
-            names = [n for n in names if n in set(plan.functions)]
         for name in names:
             for algo in plan.algorithms:
                 for trial in range(plan.trials):
@@ -177,17 +182,15 @@ def run_trial(algo: str, function: str, dim: int, pop: int, gmax: int,
     """Execute one seeded trial; objective failures become NaN rows.
 
     runtime_sec is the optimizer's own OptResult.runtime_seconds, which
-    excludes the process's one-time sampler set-up."""
+    excludes the process's one-time sampler set-up. An unknown algorithm
+    raises ValueError."""
+    if algo not in _OPTIMIZERS:
+        raise ValueError(f"unknown algorithm: {algo!r}")
+    config, module, optimizer = _OPTIMIZERS[algo]
     fn = next(f for f in _suite(dim, suite_seed) if f.name == function)
     try:
-        if algo == "quasar":
-            cfg = QuasarConfig(pop_size=pop, g_max=gmax, seed=seed)
-            result = quasar_mod.optimize(fn, fn.bounds, cfg)
-        elif algo == "de":
-            cfg = DeConfig(pop_size=pop, g_max=gmax, seed=seed)
-            result = de_mod.de_optimize(fn, fn.bounds, cfg)
-        else:
-            raise ValueError(f"unknown algorithm: {algo!r}")
+        cfg = config(pop_size=pop, g_max=gmax, seed=seed)
+        result = getattr(module, optimizer)(fn, fn.bounds, cfg)
     except (ValueError, FloatingPointError):
         # Failed-row marker; the run continues with the remaining trials.
         return TrialRecord(algo, function, dim, pop, gmax, trial, seed,
@@ -233,8 +236,17 @@ def run_plan(plan: ExperimentPlan, out_dir) -> SummaryTable:
     skipped, so rerunning a finished directory performs no optimizer
     executions; a torn final row is dropped and its trial rerun. A
     directory whose plan.json differs in a RESULT_FIELDS entry raises
-    ValueError. Returns the SummaryTable also written to summary.json.
+    ValueError, as does a QUASAR_WORKERS value that is not an integer >= 1;
+    either is refused before any file is written. Returns the SummaryTable
+    also written to summary.json.
     """
+    text = os.environ.get(WORKERS_ENV, "1")
+    try:
+        workers = int(text)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"{WORKERS_ENV} must be an integer >= 1, got {text!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     records_path = out / "records.csv"
@@ -253,9 +265,11 @@ def run_plan(plan: ExperimentPlan, out_dir) -> SummaryTable:
     jobs = [j for j in _plan_jobs(plan, trace_dir)
             if (j[0], j[1], j[2], j[3], j[5]) not in done]
 
-    workers = int(os.environ.get(WORKERS_ENV, "1"))
+    # A pool forks all its workers at the first submit, so never start more
+    # workers than there are jobs.
+    workers = min(workers, len(jobs))
     with open(records_path, "a") as fh:
-        if workers > 1 and len(jobs) > 1:
+        if workers > 1:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 # Submission order == canonical order; write in that order.
                 for record in pool.map(run_trial, *zip(*jobs)):

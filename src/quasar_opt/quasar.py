@@ -108,83 +108,31 @@ class StepInfo:
     n_accepted: int                # trials that won greedy selection
 
 
-def select_strategy(rng: RngStream, entangle_rate: float, size=None):
-    """Draw mutation strategies: SPOOKY_BEST with probability entangle_rate,
-    otherwise SPOOKY_CURRENT or SPOOKY_RANDOM with equal probability.
-
-    Scalar draw without `size`; ndarray of strategy codes with `size`.
-    """
+def select_strategy(rng: RngStream, entangle_rate: float, size: int):
+    """Draw `size` mutation strategy codes: SPOOKY_BEST with probability
+    entangle_rate, otherwise SPOOKY_CURRENT or SPOOKY_RANDOM with equal
+    probability."""
     if not 0.0 < entangle_rate <= 1.0:
         raise ValueError(f"entangle_rate must be in (0, 1], got {entangle_rate}")
-    if size is None:
-        if rng.random() < entangle_rate:
-            return MutationStrategy.SPOOKY_BEST
-        if rng.random() < 0.5:
-            return MutationStrategy.SPOOKY_CURRENT
-        return MutationStrategy.SPOOKY_RANDOM
     # One draw of both uniform blocks: the stream use equals two draws.
-    shape = tuple(size) if np.iterable(size) else (size,)
-    u_best, u_split = rng.random((2, *shape))
+    u_best, u_split = rng.random((2, size))
     # SPOOKY_CURRENT (1) below one half, SPOOKY_RANDOM (2) above.
     out = np.add(u_split >= 0.5, 1, dtype=np.int8)
     out[u_best < entangle_rate] = int(MutationStrategy.SPOOKY_BEST)
     return out
 
 
-def sample_f_local(rng: RngStream, size=None):
-    """Local mutation factor: N(0, 0.33^2)."""
+def sample_f_local(rng: RngStream, size: int) -> np.ndarray:
+    """`size` local mutation factors: N(0, 0.33^2)."""
     return rng.normal(0.0, F_LOCAL_SCALE, size)
 
 
-def sample_f_global(rng: RngStream, size=None):
-    """Global mutation factor: equal-weight bimodal mixture of
+def sample_f_global(rng: RngStream, size: int) -> np.ndarray:
+    """`size` global mutation factors: equal-weight bimodal mixture of
     N(+0.5, 0.25^2) and N(-0.5, 0.25^2)."""
-    if size is None:
-        mode = F_GLOBAL_MODE if rng.random() < 0.5 else -F_GLOBAL_MODE
-        return rng.normal(mode, F_GLOBAL_SCALE)
     modes = np.where(rng.random(size) < 0.5, F_GLOBAL_MODE, -F_GLOBAL_MODE)
     # = rng.normal(modes, F_GLOBAL_SCALE) bit for bit, minus its slow path.
     return modes + F_GLOBAL_SCALE * rng.normal(size=size)
-
-
-def mutate(i: int, strategy: MutationStrategy, pop: Population, best_idx: int,
-           rng: RngStream, bounds: BoundsBox,
-           f_factor: Optional[float] = None,
-           rand_index: Optional[int] = None) -> np.ndarray:
-    """Mutant vector for individual i under the given strategy, clipped.
-
-    SPOOKY_BEST:    X_best + F_local  * (X_i    - X_rand)
-    SPOOKY_CURRENT: X_i    + F_global * (X_best - X_rand)
-    SPOOKY_RANDOM:  X_rand + F_global * (X_i    - X_rand)   (one shared X_rand)
-
-    X_rand is uniform over all indices except i. `f_factor` and `rand_index`
-    override the internal draws (used by tests and the vectorized step).
-    """
-    n = pop.size
-    if n < 3:
-        raise ValueError("mutation needs a population of at least 3")
-    if not 0 <= i < n:
-        raise ValueError(f"individual index {i} out of range")
-    if f_factor is None:
-        if strategy is MutationStrategy.SPOOKY_BEST:
-            f_factor = sample_f_local(rng)
-        else:
-            f_factor = sample_f_global(rng)
-    if rand_index is None:
-        r = int(rng.integers(0, n - 1))
-        rand_index = r + 1 if r >= i else r
-    xi = pop.positions[i]
-    xb = pop.positions[best_idx]
-    xr = pop.positions[rand_index]
-    if strategy is MutationStrategy.SPOOKY_BEST:
-        v = xb + f_factor * (xi - xr)
-    elif strategy is MutationStrategy.SPOOKY_CURRENT:
-        v = xi + f_factor * (xb - xr)
-    elif strategy is MutationStrategy.SPOOKY_RANDOM:
-        v = xr + f_factor * (xi - xr)
-    else:
-        raise ValueError(f"unknown strategy: {strategy!r}")
-    return clip_to_bounds(v, bounds)
 
 
 def _build_mutants(positions: np.ndarray, best_idx: int, var_idx: np.ndarray,
@@ -220,23 +168,6 @@ def crossover_rate(rank, n: int, cr_floor: float = 0.33):
     raw = (n - 1 - np.asarray(rank)) / (n - 1)
     out = np.maximum(raw, cr_floor)
     return float(out) if out.ndim == 0 else out
-
-
-def binomial_crossover(x: np.ndarray, v: np.ndarray, cr: float,
-                       rng: RngStream) -> np.ndarray:
-    """Component-wise mix: take v[n] where rand(0,1) <= cr, else x[n]."""
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if x.shape != v.shape:
-        raise ValueError(f"shape mismatch: {x.shape} vs {v.shape}")
-    return np.where(rng.random(x.shape) <= cr, v, x)
-
-
-def greedy_select(x: np.ndarray, fx: float, u: np.ndarray, fu: float):
-    """Keep the trial only on strict improvement; ties keep the incumbent."""
-    if fu < fx:
-        return u, fu
-    return x, fx
 
 
 def reinit_probability(g: int, g_max: int, p_final: float = 0.33,
@@ -276,13 +207,16 @@ def compute_elite_stats(pop: Population, elite_fraction: float = 0.25,
     return EliteStats(mu=mu, sigma=sigma, m=m, epsilon=epsilon)
 
 
-def _reinit_batch(stats: EliteStats, bounds: BoundsBox, rng: RngStream,
-                  noise_divisor: float, count: int):
-    """Sample `count` replacement positions; never aborts.
+def sample_reinit_positions(stats: EliteStats, bounds: BoundsBox,
+                            rng: RngStream, noise_divisor: float, count: int):
+    """Sample `count` replacement positions: N(mu, sigma) plus per-dimension
+    noise N(0, ((high - low) / noise_divisor)^2), clipped into the box.
+    Never aborts.
 
-    Returns (positions, fallback): fallback 0 used the jittered covariance
-    as-is, 1 needed a stronger jitter (epsilon * 1e6), 2 fell back to
-    independent per-dimension sampling from diag(sigma).
+    Returns (positions, fallback): positions is (count, D); fallback 0 used
+    the jittered covariance as-is, 1 needed a stronger jitter
+    (epsilon * 1e6), 2 fell back to independent per-dimension sampling from
+    diag(sigma).
     """
     mu, sigma = stats.mu, stats.sigma
     d = mu.size
@@ -304,18 +238,6 @@ def _reinit_batch(stats: EliteStats, bounds: BoundsBox, rng: RngStream,
     y += mu
     y += noise
     return clip_to_bounds(y, bounds, out=y), fallback
-
-
-def sample_reinit_position(stats: EliteStats, bounds: BoundsBox,
-                           rng: RngStream,
-                           noise_divisor: float = 20.0) -> np.ndarray:
-    """One replacement position: N(mu, sigma) plus bounds-scaled noise,
-    clipped into the box.
-
-    The noise component is N(0, ((high-low)/noise_divisor)^2) per dimension.
-    """
-    positions, _ = _reinit_batch(stats, bounds, rng, noise_divisor, 1)
-    return positions[0]
 
 
 def step(objective, bounds: BoundsBox, pop: Population, cfg: QuasarConfig,
@@ -353,8 +275,8 @@ def step(objective, bounds: BoundsBox, pop: Population, cfg: QuasarConfig,
     fallback = 0
     if chosen.size:
         stats = compute_elite_stats(pop, cfg.elite_fraction, cfg.epsilon_jitter)
-        new_pos, fallback = _reinit_batch(stats, bounds, rng,
-                                          cfg.noise_divisor, chosen.size)
+        new_pos, fallback = sample_reinit_positions(
+            stats, bounds, rng, cfg.noise_divisor, chosen.size)
         new_fit = evaluate_rows(objective, new_pos)
         require_finite(new_fit, pop.generation, chosen)
         positions[chosen] = new_pos

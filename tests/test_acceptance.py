@@ -20,24 +20,28 @@ from quasar_opt import (
     QuasarConfig,
     DeConfig,
     RngStream,
-    crossover_rate,
     de_optimize,
-    friedman_rank_sums,
     gmerf,
     make_suite,
     optimize,
     reinit_probability,
     run_plan,
-    runtime_ratios,
+    sobol_sample,
+    step,
+)
+from quasar_opt.core import Population, evaluate_rows
+from quasar_opt.quasar import (
+    MutationStrategy,
+    crossover_rate,
     sample_f_global,
     sample_f_local,
     select_strategy,
-    sobol_sample,
-    step,
+)
+from quasar_opt.stats import (
+    friedman_rank_sums,
+    runtime_ratios,
     wilcoxon_signed_rank,
 )
-from quasar_opt.core import Population, evaluate_rows
-from quasar_opt.quasar import MutationStrategy
 
 
 def report(num, name, ok, detail=""):

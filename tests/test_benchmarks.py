@@ -192,9 +192,8 @@ class TestSuite:
         for name, (base, _) in REFERENCES.items():
             fn = make_function(name, 5, RngStream(0))
             plain = fn.__class__(
-                name=name, dim=5, bounds=fn.bounds, base=name,
-                shift=np.zeros(5), rotation=np.eye(5),
-                optimum_value=0.0, x_opt=fn.x_opt,
+                name=name, dim=5, bounds=fn.bounds,
+                shift=np.zeros(5), rotation=np.eye(5), x_opt=fn.x_opt,
             )
             x = rng.uniform(-50, 50, size=5)
             assert plain.evaluate(x) == pytest.approx(float(base(x)), rel=1e-12)

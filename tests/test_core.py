@@ -1,16 +1,14 @@
 import numpy as np
 import pytest
 
-from quasar_opt import (
-    BoundsBox,
+from quasar_opt import BoundsBox, Population, RngStream
+from quasar_opt.core import (
     FunctionObjective,
-    Population,
-    RngStream,
     best_of,
     clip_to_bounds,
+    evaluate_rows,
     rank_population,
 )
-from quasar_opt.core import evaluate_rows
 
 
 def make_pop(fitness, dim=2):

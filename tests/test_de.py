@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from quasar_opt import BoundsBox, DeConfig, FunctionObjective, Population, RngStream, de_optimize
-from quasar_opt.core import evaluate_rows
+from quasar_opt import BoundsBox, DeConfig, Population, RngStream, de_optimize
+from quasar_opt.core import FunctionObjective, evaluate_rows
 from quasar_opt.de import _de_step, _distinct_donors
 from quasar_opt.sampling import sobol_sample
 

@@ -24,7 +24,6 @@ from quasar_opt import (
     BoundsBox,
     DeConfig,
     ExperimentPlan,
-    FunctionObjective,
     QuasarConfig,
     de_optimize,
     emit_summary,
@@ -32,6 +31,7 @@ from quasar_opt import (
     optimize,
     run_plan,
 )
+from quasar_opt.core import FunctionObjective
 from quasar_opt.harness import CSV_HEADER
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 from types import SimpleNamespace
@@ -14,15 +15,14 @@ from quasar_opt import (
     DeConfig,
     ExperimentPlan,
     QuasarConfig,
-    SummaryTable,
     de_optimize,
-    derive_seed,
     emit_summary,
     optimize,
     run_plan,
 )
 from quasar_opt.cli import main as cli_main
-from quasar_opt.harness import CSV_HEADER, load_records
+from quasar_opt.harness import CSV_HEADER, derive_seed, load_records
+from quasar_opt.stats import SummaryTable
 
 TINY = dict(dims=[5], pop_sizes=[20], g_max=5, trials=3,
             master_seed=7, suite_seed=1, functions=["sphere"])
@@ -31,6 +31,31 @@ TINY = dict(dims=[5], pop_sizes=[20], g_max=5, trials=3,
 def read_rows(path):
     lines = Path(path).read_text().strip().splitlines()
     return lines[0], [line.split(",") for line in lines[1:]]
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Replace the process pool with an in-process stand-in: each job runs
+    as a worker would run it, with no set-up of its own before the first.
+    Returns the max_workers of each pool created, so no test has to start
+    processes to see the pool size."""
+    created = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            created.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+    return created
 
 
 class TestDeriveSeed:
@@ -188,6 +213,31 @@ class TestRunPlan:
         errors = lambda rows: [r[7] for r in rows]
         assert errors(rows_s) == errors(rows_p)
 
+    @pytest.mark.parametrize("env,pools", [("1", []), ("2", [2]),
+                                           ("5000", [3])])
+    def test_pool_never_larger_than_the_jobs(self, tmp_path, monkeypatch,
+                                             inline_pool, env, pools):
+        monkeypatch.setenv(harness.WORKERS_ENV, env)
+        run_plan(ExperimentPlan(algorithms=["quasar"], **TINY), tmp_path)
+        assert inline_pool == pools
+        _, rows = read_rows(tmp_path / "records.csv")
+        assert len(rows) == 3
+
+    def test_resume_builds_no_suite(self, tmp_path, monkeypatch):
+        plan = ExperimentPlan(algorithms=["quasar"], **TINY)
+        run_plan(plan, tmp_path)
+        harness._suite.cache_clear()
+        calls = []
+        real = harness.make_suite
+        monkeypatch.setattr(harness, "make_suite",
+                            lambda *a: calls.append(a) or real(*a))
+        run_plan(plan, tmp_path)
+        assert calls == []
+
+    def test_unknown_algorithm_raises(self):
+        with pytest.raises(ValueError, match="unknown algorithm: 'lshade'"):
+            harness.run_trial("lshade", "sphere", 5, 20, 2, 0, 1, 1)
+
     def test_save_traces(self, tmp_path):
         plan = ExperimentPlan(algorithms=["quasar"], save_traces=True, **TINY)
         run_plan(plan, tmp_path)
@@ -240,23 +290,7 @@ class TestSamplerWarmUp:
         assert events == []
 
     def test_pool_workers_warm_before_their_trials(self, tmp_path, events,
-                                                   monkeypatch):
-        # An in-process stand-in for the pool: each job runs as a worker
-        # would run it, with no set-up of its own before the first.
-        class InlinePool:
-            def __init__(self, max_workers):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+                                                   monkeypatch, inline_pool):
         monkeypatch.setenv(harness.WORKERS_ENV, "2")
         run_plan(ExperimentPlan(algorithms=["quasar"], **TINY), tmp_path)
         assert events == ["load"] + ["clock"] * 3
@@ -374,9 +408,25 @@ class TestCli:
 
     def test_suite_manifest(self, capsys):
         assert cli_main(["suite", "--dim", "6", "--seed", "4"]) == 0
-        entries = json.loads(capsys.readouterr().out)
+        out = capsys.readouterr().out
+        entries = json.loads(out)
         assert len(entries) == 10
         assert entries[0]["dim"] == 6
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "dc3a275543fe3e86b0f678d28f8d8dd18e95afc4c3cd02bf7bf679b622508ea5")
+
+    @pytest.mark.parametrize("value", ["abc", "0"])
+    def test_bad_worker_count_refused(self, tmp_path, capsys, monkeypatch,
+                                      value):
+        monkeypatch.setenv(harness.WORKERS_ENV, value)
+        out = tmp_path / "w"
+        code = cli_main(["run", "--dims", "5", "--pops", "20", "--gmax", "2",
+                         "--trials", "1", "--functions", "sphere",
+                         "--out", str(out)])
+        assert code == 2
+        assert f"QUASAR_WORKERS must be an integer >= 1, got {value!r}" in \
+            capsys.readouterr().err
+        assert not (out / "plan.json").exists()
 
     def test_contract_violation_exit_code(self, tmp_path, capsys):
         code = cli_main(["run", "--trials", "0", "--out", str(tmp_path / "x")])
@@ -386,6 +436,7 @@ class TestCli:
     @pytest.mark.parametrize("args,message", [
         (["--dims", "5", "--pops", "4"], "quasar cannot run pop 4"),
         (["--dims", "5,5", "--pops", "20"], "dims repeats [5]"),
+        (["--dims", "1", "--pops", "20"], "need dimension >= 2"),
     ])
     def test_bad_plan_refused_before_any_trial(self, tmp_path, capsys,
                                                monkeypatch, args, message):

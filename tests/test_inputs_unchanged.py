@@ -15,12 +15,13 @@ from quasar_opt import (
     QuasarConfig,
     RngStream,
     make_suite,
+    sample_reinit_positions,
     step,
 )
 from quasar_opt.benchmarks import BASE_FUNCTIONS
 from quasar_opt.core import evaluate_rows
 from quasar_opt.de import _de_step
-from quasar_opt.quasar import EliteStats, _reinit_batch
+from quasar_opt.quasar import EliteStats
 
 
 def snapshot(*arrays):
@@ -81,7 +82,7 @@ def test_reinit_batch_leaves_elite_stats_and_bounds_unchanged(sigma,
     stats = EliteStats(mu=np.array([0.5, -2.0, 9.0]), sigma=sigma, m=4)
     box = BoundsBox(np.array([-1.0, -3.0, 0.0]), np.array([1.0, 3.0, 10.0]))
     before = snapshot(stats.mu, stats.sigma, box.low, box.high)
-    y, got = _reinit_batch(stats, box, RngStream(4), 20.0, 6)
+    y, got = sample_reinit_positions(stats, box, RngStream(4), 20.0, 6)
     assert got == fallback
     assert snapshot(stats.mu, stats.sigma, box.low, box.high) == before
     assert y.shape == (6, 3) and box.contains(y)

@@ -4,16 +4,14 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from quasar_opt import (
+from quasar_opt import gmerf, gmerf_ci, gmerf_overall
+from quasar_opt.stats import (
     ScenarioResults,
+    _average_ranks,
     friedman_rank_sums,
-    gmerf,
-    gmerf_ci,
-    gmerf_overall,
     runtime_ratios,
     wilcoxon_signed_rank,
 )
-from quasar_opt.stats import _average_ranks
 
 
 class TestGmerf:
