@@ -26,23 +26,25 @@ plan = ExperimentPlan(
     algorithms=["quasar", "de"],
 )
 
-out = Path(tempfile.mkdtemp(prefix="quasar-demo-"))
-table = run_plan(plan, out)
+# The run directory is removed when the demo ends.
+with tempfile.TemporaryDirectory(prefix="quasar-demo-") as tmp:
+    out = Path(tmp)
+    table = run_plan(plan, out)
 
-print(f"records: {out / 'records.csv'}")
-print(f"summary: {out / 'summary.json'}\n")
+    print(f"records: {out / 'records.csv'}")
+    print(f"summary: {out / 'summary.json'}\n")
 
-print("per-scenario GMERF vs DE (>1 means QUASAR reached lower error):")
-for sc in table.scenarios:
-    lo, hi = sc.gmerf_ci["de"]
-    print(f"  {sc.function:12s} GMERF {sc.gmerf['de']:10.3g}  "
-          f"CI [{lo:.3g}, {hi:.3g}]  p={sc.p_error['de']:.3g}")
+    print("per-scenario GMERF vs DE (>1 means QUASAR reached lower error):")
+    for sc in table.scenarios:
+        lo, hi = sc.gmerf_ci["de"]
+        print(f"  {sc.function:12s} GMERF {sc.gmerf['de']:10.3g}  "
+              f"CI [{lo:.3g}, {hi:.3g}]  p={sc.p_error['de']:.3g}")
 
-print(f"\nFriedman rank sums: {table.rank_sums} (p={table.friedman_p:.2g})")
-print(f"overall GMERF vs DE: {table.gmerf_overall['de']:.3g}, "
-      f"CI {table.gmerf_overall_ci['de']}")
-print(f"overall runtime ratio vs DE: {table.runtime_ratio_overall['de']:.2f}x")
+    print(f"\nFriedman rank sums: {table.rank_sums} (p={table.friedman_p:.2g})")
+    print(f"overall GMERF vs DE: {table.gmerf_overall['de']:.3g}, "
+          f"CI {table.gmerf_overall_ci['de']}")
+    print(f"overall runtime ratio vs DE: {table.runtime_ratio_overall['de']:.2f}x")
 
-# The summary JSON round-trips cleanly for downstream tooling.
-parsed = json.loads((out / "summary.json").read_text())
-print("\nsummary keys:", sorted(parsed))
+    # The summary JSON round-trips cleanly for downstream tooling.
+    parsed = json.loads((out / "summary.json").read_text())
+    print("\nsummary keys:", sorted(parsed))

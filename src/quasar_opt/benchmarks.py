@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -153,7 +153,7 @@ class TestFunction:
                 f"{self.name} expects a length-{self.dim} vector, "
                 f"got shape {x.shape}"
             )
-        return float(self._base_fn((x - self.shift) @ self.rotation.T))
+        return float(self.evaluate_many(x[None])[0])
 
     def evaluate_many(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -162,12 +162,9 @@ class TestFunction:
                 f"{self.name} expects an (n, {self.dim}) matrix, "
                 f"got shape {X.shape}"
             )
-        return np.asarray(self._base_fn((X - self.shift) @ self.rotation.T),
+        base = BASE_FUNCTIONS[self.name][0]
+        return np.asarray(base((X - self.shift) @ self.rotation.T),
                           dtype=float)
-
-    @property
-    def _base_fn(self) -> Callable:
-        return BASE_FUNCTIONS[self.name][0]
 
 
 def random_rotation(dim: int, rng: RngStream) -> np.ndarray:
@@ -178,20 +175,17 @@ def random_rotation(dim: int, rng: RngStream) -> np.ndarray:
 
 
 def make_function(base: str, dim: int, rng: RngStream,
-                  bounds: Optional[BoundsBox] = None,
                   seed: Optional[int] = None) -> TestFunction:
     """Wrap one base function with a random shift and rotation.
 
-    The shift is drawn uniformly from the central 80% of the box so the
-    optimum never touches a bound; the base-optimum offset (at most sqrt(D)
-    for the bases anchored at 1) stays comfortably inside the remaining
-    margin for the default box.
+    The box is [-100, 100]^dim. The shift is drawn uniformly from its
+    central 80% so the optimum never touches a bound; the base-optimum
+    offset (at most sqrt(D) for the bases anchored at 1) stays comfortably
+    inside the remaining margin.
     """
     if base not in BASE_FUNCTIONS:
         raise ValueError(f"unknown base function: {base!r}")
-    bounds = bounds or BoundsBox.cube(-100.0, 100.0, dim)
-    if bounds.dim != dim:
-        raise ValueError("bounds dimension mismatch")
+    bounds = BoundsBox.cube(-100.0, 100.0, dim)
     margin = 0.1 * bounds.width
     shift = rng.uniform(bounds.low + margin, bounds.high - margin)
     rotation = random_rotation(dim, rng)

@@ -35,17 +35,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="run a trial grid")
-    run.add_argument("--mode", choices=("dim", "sample", "custom"),
-                     default="custom")
-    run.add_argument("--dims", type=_int_list, default=[10, 30])
-    run.add_argument("--pops", type=_int_list, default=[100, 300])
-    run.add_argument("--gmax", type=int, default=100)
-    run.add_argument("--trials", type=int, default=10)
-    run.add_argument("--seed", type=int, default=42)
-    run.add_argument("--suite-seed", type=int, default=1)
-    run.add_argument("--algos", type=_str_list, default=["quasar", "de"])
-    run.add_argument("--functions", type=_str_list, default=None,
+    # Each dest is a plan field; an absent flag leaves the plan's default.
+    run = sub.add_parser("run", help="run a trial grid",
+                         argument_default=argparse.SUPPRESS)
+    run.add_argument("--mode", choices=("dim", "sample", "custom"))
+    run.add_argument("--dims", type=_int_list)
+    run.add_argument("--pops", dest="pop_sizes", type=_int_list)
+    run.add_argument("--gmax", dest="g_max", type=int)
+    run.add_argument("--trials", type=int)
+    run.add_argument("--seed", dest="master_seed", type=int)
+    run.add_argument("--suite-seed", type=int)
+    run.add_argument("--algos", dest="algorithms", type=_str_list)
+    run.add_argument("--functions", type=_str_list,
                      help="restrict to these suite functions")
     run.add_argument("--save-traces", action="store_true")
     run.add_argument("--out", required=True)
@@ -80,12 +81,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "run":
-            plan = ExperimentPlan(
-                mode=args.mode, dims=args.dims, pop_sizes=args.pops,
-                g_max=args.gmax, trials=args.trials, master_seed=args.seed,
-                suite_seed=args.suite_seed, algorithms=args.algos,
-                functions=args.functions, save_traces=args.save_traces,
-            )
+            fields = {k: v for k, v in vars(args).items()
+                      if k not in ("command", "out")}
+            plan = ExperimentPlan(**fields)
             table = run_plan(plan, args.out)
             _print_summary(table)
             print(f"records and summary written to {args.out}")

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional, Protocol, runtime_checkable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -75,59 +75,30 @@ def clip_to_bounds(y: np.ndarray, bounds: BoundsBox,
     return np.minimum(out, bounds.high, out=out)
 
 
-@runtime_checkable
-class ObjectiveFunction(Protocol):
-    """Minimization objective over a fixed-arity real vector.
-
-    `evaluate` must be deterministic and return a finite float for any
-    in-bounds input. `known_optimum` (the true minimum value, when known)
-    enables error reporting; it may be None.
-    """
-
-    dim: int
-    known_optimum: Optional[float]
-
-    def evaluate(self, x: np.ndarray) -> float: ...
-
-
-class FunctionObjective:
-    """Adapter turning a plain callable into an ObjectiveFunction.
-
-    `batch` optionally supplies a vectorized form taking an (n, dim) matrix
-    and returning an (n,) vector. When given it becomes `evaluate_many`,
-    which `evaluate_rows` uses; without it, rows go through `evaluate`.
-    """
-
-    def __init__(self, func: Callable[[np.ndarray], float], dim: int,
-                 known_optimum: Optional[float] = None,
-                 batch: Optional[Callable[[np.ndarray], np.ndarray]] = None):
-        self._func = func
-        self.dim = int(dim)
-        self.known_optimum = known_optimum
-        if batch is not None:
-            self.evaluate_many = batch
-
-    def evaluate(self, x: np.ndarray) -> float:
-        return float(self._func(np.asarray(x, dtype=float)))
-
-
-def as_objective(f, dim: int) -> ObjectiveFunction:
-    """Coerce a callable or ObjectiveFunction into the objective interface."""
-    if isinstance(f, ObjectiveFunction):
-        if f.dim != dim:
-            raise ValueError(f"objective arity {f.dim} != bounds dimension {dim}")
-        return f
-    if callable(f):
-        return FunctionObjective(f, dim)
-    raise TypeError("objective must be callable or implement ObjectiveFunction")
+def check_objective(f, dim: int) -> None:
+    """Refuse, before a run starts, an objective that evaluate_rows cannot
+    call or whose `dim` attribute differs from the bounds' dimension."""
+    if not (callable(f) or hasattr(f, "evaluate_many")
+            or hasattr(f, "evaluate")):
+        raise TypeError("objective must be callable or have an evaluate "
+                        "or evaluate_many method")
+    if getattr(f, "dim", dim) != dim:
+        raise ValueError(f"objective dim {f.dim} != bounds dim {dim}")
 
 
 def evaluate_rows(objective, X: np.ndarray) -> np.ndarray:
-    """Evaluate each row of X, using the objective's batch path when it has one."""
+    """The one place an objective is called: `evaluate_many(X)` (an (n, D)
+    matrix to an (n,) vector) when the objective has it, else `evaluate(x)`,
+    or the objective itself, once per row.
+
+    The objective must be deterministic and return finite values for
+    in-bounds input; an optional `known_optimum` attribute (the true minimum
+    value) makes OptResult.error relative to it."""
     X = np.asarray(X, dtype=float)
     if hasattr(objective, "evaluate_many"):
         return np.asarray(objective.evaluate_many(X), dtype=float)
-    return np.array([objective.evaluate(row) for row in X], dtype=float)
+    call = getattr(objective, "evaluate", objective)
+    return np.array([float(call(row)) for row in X])
 
 
 @dataclass(frozen=True)

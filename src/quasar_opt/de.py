@@ -13,7 +13,7 @@ from .core import (
     OptResult,
     Population,
     RngStream,
-    as_objective,
+    check_objective,
     clip_to_bounds,
     evaluate_rows,
     require_finite,
@@ -105,16 +105,16 @@ def de_optimize(f, bounds: BoundsBox, cfg: Optional[DeConfig] = None) -> OptResu
     early stopping, deterministic for a given (f, bounds, cfg).
     """
     cfg = cfg or DeConfig()
-    objective = as_objective(f, bounds.dim)
+    check_objective(f, bounds.dim)
     n = cfg.resolved_pop_size(bounds.dim)
     rng = RngStream(cfg.seed)
     prepare_init(cfg.init_method, bounds.dim)
 
     t0 = time.perf_counter()
     positions = initial_population(cfg.init_method, n, bounds, rng)
-    fitness = evaluate_rows(objective, positions)
+    fitness = evaluate_rows(f, positions)
     require_finite(fitness, 0, range(n))
     pop = Population(positions, fitness, generation=0, eval_count=n)
 
-    return run_generations(objective, pop, cfg.g_max, t0,
-                           lambda p: _de_step(objective, bounds, p, cfg, rng))
+    return run_generations(f, pop, cfg.g_max, t0,
+                           lambda p: _de_step(f, bounds, p, cfg, rng))

@@ -19,6 +19,7 @@ import hashlib
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -183,11 +184,14 @@ def run_trial(algo: str, function: str, dim: int, pop: int, gmax: int,
 
     runtime_sec is the optimizer's own OptResult.runtime_seconds, which
     excludes the process's one-time sampler set-up. An unknown algorithm
-    raises ValueError."""
+    or suite function raises ValueError."""
     if algo not in _OPTIMIZERS:
         raise ValueError(f"unknown algorithm: {algo!r}")
+    if function not in BASE_FUNCTIONS:
+        raise ValueError(f"unknown suite function: {function!r}")
     config, module, optimizer = _OPTIMIZERS[algo]
-    fn = next(f for f in _suite(dim, suite_seed) if f.name == function)
+    # make_suite builds the functions in BASE_FUNCTIONS order.
+    fn = _suite(dim, suite_seed)[list(BASE_FUNCTIONS).index(function)]
     try:
         cfg = config(pop_size=pop, g_max=gmax, seed=seed)
         result = getattr(module, optimizer)(fn, fn.bounds, cfg)
@@ -268,17 +272,16 @@ def run_plan(plan: ExperimentPlan, out_dir) -> SummaryTable:
     # A pool forks all its workers at the first submit, so never start more
     # workers than there are jobs.
     workers = min(workers, len(jobs))
-    with open(records_path, "a") as fh:
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                # Submission order == canonical order; write in that order.
-                for record in pool.map(run_trial, *zip(*jobs)):
-                    fh.write(record.csv_row() + "\n")
-                    fh.flush()
-        else:
-            for job in jobs:
-                fh.write(run_trial(*job).csv_row() + "\n")
-                fh.flush()
+    with (open(records_path, "a") as fh,
+          ProcessPoolExecutor(max_workers=workers) if workers > 1
+          else nullcontext() as pool):
+        # Either map yields in submission order, which is canonical order.
+        # Neither takes zero iterables, so a finished plan maps nothing.
+        records = (pool.map if pool else map)(run_trial, *zip(*jobs)) \
+            if jobs else ()
+        for record in records:
+            fh.write(record.csv_row() + "\n")
+            fh.flush()
 
     return emit_summary(records_path, out)
 

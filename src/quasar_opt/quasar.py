@@ -20,7 +20,7 @@ from .core import (
     OptResult,
     Population,
     RngStream,
-    as_objective,
+    check_objective,
     clip_to_bounds,
     evaluate_rows,
     fitness_order,
@@ -328,8 +328,9 @@ def optimize(f, bounds: BoundsBox, cfg: Optional[QuasarConfig] = None) -> OptRes
 
     Parameters
     ----------
-    f : callable or ObjectiveFunction
-        Function of a length-D vector returning a float (lower is better).
+    f : callable or object
+        Objective, lower is better: f(x), f.evaluate(x) or a batch
+        f.evaluate_many(X), as core.evaluate_rows calls it.
     bounds : BoundsBox
         Search box; every emitted position stays inside it.
     cfg : QuasarConfig, optional
@@ -347,17 +348,17 @@ def optimize(f, bounds: BoundsBox, cfg: Optional[QuasarConfig] = None) -> OptRes
     are executed; there is no early stopping and no polish step.
     """
     cfg = cfg or QuasarConfig()
-    objective = as_objective(f, bounds.dim)
+    check_objective(f, bounds.dim)
     n = cfg.resolved_pop_size(bounds.dim)
     rng = RngStream(cfg.seed)
     prepare_init(cfg.init_method, bounds.dim)
 
     t0 = time.perf_counter()
     positions = initial_population(cfg.init_method, n, bounds, rng)
-    fitness = evaluate_rows(objective, positions)
+    fitness = evaluate_rows(f, positions)
     require_finite(fitness, 0, range(n))
     pop = Population(positions, fitness, generation=0, eval_count=n)
 
     # `step` is looked up at call time, so it can be wrapped or replaced.
-    return run_generations(objective, pop, cfg.g_max, t0,
-                           lambda p: step(objective, bounds, p, cfg, rng)[0])
+    return run_generations(f, pop, cfg.g_max, t0,
+                           lambda p: step(f, bounds, p, cfg, rng)[0])

@@ -1,9 +1,18 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from quasar_opt import BoundsBox, Population, RngStream
+from quasar_opt import (
+    BoundsBox,
+    DeConfig,
+    Population,
+    QuasarConfig,
+    RngStream,
+    de_optimize,
+    optimize,
+)
 from quasar_opt.core import (
-    FunctionObjective,
     best_of,
     clip_to_bounds,
     evaluate_rows,
@@ -152,14 +161,68 @@ class TestPopulation:
             Population(np.zeros(3), np.zeros(3))
 
 
+def square_sum(x):
+    return float(np.sum(x * x))
+
+
 class TestEvaluateRows:
     def test_batch_and_row_paths_agree(self):
         X = np.arange(12.0).reshape(4, 3) - 5.0
-        rowwise = FunctionObjective(lambda x: float(np.sum(x * x)), 3)
-        batched = FunctionObjective(lambda x: float(np.sum(x * x)), 3,
-                                    batch=lambda X: np.sum(X * X, axis=1))
-        assert not hasattr(rowwise, "evaluate_many")
-        assert np.array_equal(evaluate_rows(rowwise, X),
-                              evaluate_rows(batched, X))
-        assert evaluate_rows(rowwise, X).tolist() == \
-            [rowwise.evaluate(x) for x in X]
+        rowwise = evaluate_rows(square_sum, X)
+        assert rowwise.tolist() == [square_sum(x) for x in X]
+        assert np.array_equal(
+            evaluate_rows(SimpleNamespace(evaluate=square_sum), X), rowwise)
+        batched = SimpleNamespace(evaluate_many=lambda X: np.sum(X * X, axis=1))
+        assert np.array_equal(evaluate_rows(batched, X), rowwise)
+
+    def test_batch_method_wins(self):
+        def never(x):
+            raise AssertionError("called per row")
+
+        both = SimpleNamespace(evaluate=never,
+                               evaluate_many=lambda X: X.sum(axis=1))
+        assert evaluate_rows(both, np.ones((2, 3))).tolist() == [3.0, 3.0]
+
+
+RUNS = [(optimize, QuasarConfig), (de_optimize, DeConfig)]
+
+
+@pytest.mark.parametrize("run,config", RUNS)
+class TestObjectiveContract:
+    """optimize and de_optimize take a callable, an object with evaluate(x)
+    or one with evaluate_many(X); every form gives the same run."""
+
+    box = BoundsBox.cube(-2.0, 3.0, 4)
+
+    def test_evaluate_object_matches_callable(self, run, config):
+        cfg = config(pop_size=10, g_max=6, seed=3)
+        plain = run(square_sum, self.box, cfg)
+        wrapped = run(SimpleNamespace(dim=4, evaluate=square_sum),
+                      self.box, cfg)
+        assert np.array_equal(plain.trace, wrapped.trace)
+        assert np.array_equal(plain.best_position, wrapped.best_position)
+        assert plain.eval_count == wrapped.eval_count
+
+    def test_batch_only_object_gets_the_matrices(self, run, config):
+        shapes = []
+
+        def batch(X):
+            shapes.append(X.shape)
+            return np.sum(X * X, axis=1)
+
+        obj = SimpleNamespace(dim=4, known_optimum=-1.0, evaluate_many=batch)
+        result = run(obj, self.box, config(pop_size=10, g_max=6, seed=3))
+        assert all(len(shape) == 2 and shape[1] == 4 for shape in shapes)
+        assert sum(shape[0] for shape in shapes) == result.eval_count
+        assert result.error == result.best_fitness + 1.0
+
+    @pytest.mark.parametrize("objective", [object(), SimpleNamespace(dim=4),
+                                           np.zeros(4)])
+    def test_uncallable_objective_refused(self, run, config, objective):
+        with pytest.raises(TypeError, match="objective must be callable"):
+            run(objective, self.box, config(pop_size=10, g_max=1))
+
+    def test_wrong_dim_refused(self, run, config):
+        obj = SimpleNamespace(dim=5, evaluate=square_sum)
+        with pytest.raises(ValueError, match="objective dim 5 != bounds dim 4"):
+            run(obj, self.box, config(pop_size=10, g_max=1))

@@ -1,16 +1,17 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from quasar_opt import BoundsBox, DeConfig, Population, RngStream, de_optimize
-from quasar_opt.core import FunctionObjective, evaluate_rows
+from quasar_opt.core import evaluate_rows
 from quasar_opt.de import _de_step, _distinct_donors
 from quasar_opt.sampling import sobol_sample
 
 
 def sphere_objective(dim):
-    return FunctionObjective(lambda x: float(np.sum(x * x)), dim,
-                             known_optimum=0.0,
-                             batch=lambda X: np.sum(X * X, axis=1))
+    return SimpleNamespace(dim=dim, known_optimum=0.0,
+                           evaluate_many=lambda X: np.sum(X * X, axis=1))
 
 
 def fresh_pop(objective, bounds, n):

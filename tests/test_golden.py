@@ -15,6 +15,7 @@ alters any output byte fails here too.
 """
 
 import hashlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -31,7 +32,6 @@ from quasar_opt import (
     optimize,
     run_plan,
 )
-from quasar_opt.core import FunctionObjective
 from quasar_opt.harness import CSV_HEADER
 
 
@@ -40,14 +40,14 @@ def suite_function(name, dim, seed):
 
 
 def shifted_sphere(dim):
-    return FunctionObjective(
-        lambda x: float(np.sum((x - 3.0e5) ** 2)), dim, known_optimum=0.0,
-        batch=lambda X: np.sum((X - 3.0e5) ** 2, axis=1))
+    return SimpleNamespace(
+        dim=dim, known_optimum=0.0,
+        evaluate_many=lambda X: np.sum((X - 3.0e5) ** 2, axis=1))
 
 
 def plateau(dim):
-    return FunctionObjective(lambda x: 1.0, dim, known_optimum=None,
-                             batch=lambda X: np.ones(len(X)))
+    return SimpleNamespace(dim=dim, known_optimum=None,
+                           evaluate_many=lambda X: np.ones(len(X)))
 
 
 def quasar_cases():

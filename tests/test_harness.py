@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import quasar_opt.cli as cli
 import quasar_opt.de as de_mod
 import quasar_opt.harness as harness
 import quasar_opt.quasar as quasar_mod
@@ -238,6 +239,10 @@ class TestRunPlan:
         with pytest.raises(ValueError, match="unknown algorithm: 'lshade'"):
             harness.run_trial("lshade", "sphere", 5, 20, 2, 0, 1, 1)
 
+    def test_unknown_function_raises(self):
+        with pytest.raises(ValueError, match="unknown suite function: 'nope'"):
+            harness.run_trial("quasar", "nope", 5, 20, 2, 0, 1, 1)
+
     def test_save_traces(self, tmp_path):
         plan = ExperimentPlan(algorithms=["quasar"], save_traces=True, **TINY)
         run_plan(plan, tmp_path)
@@ -427,6 +432,28 @@ class TestCli:
         assert f"QUASAR_WORKERS must be an integer >= 1, got {value!r}" in \
             capsys.readouterr().err
         assert not (out / "plan.json").exists()
+
+    @pytest.fixture
+    def plans(self, monkeypatch):
+        """The plans the CLI hands to run_plan, which runs none of them."""
+        plans = []
+
+        def capture(plan, out):
+            plans.append(plan)
+            raise ValueError("captured")
+
+        monkeypatch.setattr(cli, "run_plan", capture)
+        return plans
+
+    def test_run_defaults_are_the_plans(self, tmp_path, plans):
+        cli_main(["run", "--out", str(tmp_path)])
+        assert plans == [ExperimentPlan()]
+
+    def test_run_flags_set_plan_fields(self, tmp_path, plans):
+        cli_main(["run", "--pops", "40,50", "--gmax", "7", "--seed", "3",
+                  "--algos", "de", "--out", str(tmp_path)])
+        assert plans == [ExperimentPlan(pop_sizes=[40, 50], g_max=7,
+                                        master_seed=3, algorithms=["de"])]
 
     def test_contract_violation_exit_code(self, tmp_path, capsys):
         code = cli_main(["run", "--trials", "0", "--out", str(tmp_path / "x")])

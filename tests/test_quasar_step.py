@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -12,15 +14,14 @@ from quasar_opt import (
     optimize,
     step,
 )
-from quasar_opt.core import FunctionObjective, evaluate_rows
+from quasar_opt.core import evaluate_rows
 from quasar_opt.quasar import MutationStrategy, _build_mutants
 from quasar_opt.sampling import sobol_sample
 
 
 def sphere_objective(dim):
-    return FunctionObjective(lambda x: float(np.sum(x * x)), dim,
-                             known_optimum=0.0,
-                             batch=lambda X: np.sum(X * X, axis=1))
+    return SimpleNamespace(dim=dim, known_optimum=0.0,
+                           evaluate_many=lambda X: np.sum(X * X, axis=1))
 
 
 def fresh_pop(objective, bounds, n):
