@@ -34,7 +34,6 @@ from .de import DeConfig
 from .quasar import QuasarConfig
 from .stats import (
     ERROR_FLOOR,
-    ScenarioResults,
     ScenarioSummary,
     SummaryTable,
     gmerf,
@@ -214,7 +213,13 @@ def _check_same_results(plan_path: Path, plan: ExperimentPlan) -> None:
     algorithms is fine."""
     if not plan_path.exists():
         return
-    old, new = json.loads(plan_path.read_text()), asdict(plan)
+    try:
+        old = json.loads(plan_path.read_text())
+    except ValueError as exc:
+        raise ValueError(f"{plan_path}: unreadable plan: {exc}") from None
+    if not isinstance(old, dict):
+        raise ValueError(f"{plan_path}: unreadable plan: not a JSON object")
+    new = asdict(plan)
     diffs = [f"{k}: {old.get(k)!r} there, {new[k]!r} now"
              for k in RESULT_FIELDS if old.get(k) != new[k]]
     if diffs:
@@ -224,13 +229,16 @@ def _check_same_results(plan_path: Path, plan: ExperimentPlan) -> None:
         )
 
 
-def _drop_torn_row(records_path: Path) -> None:
+def _drop_torn_row(records_path: Path) -> int:
     """Cut a final row that lacks its newline (a kill mid-write), so its
-    trial reruns. Every complete row ends in a newline."""
+    trial reruns, and return the bytes kept. Every complete row ends in a
+    newline."""
     with open(records_path, "rb+") as fh:
         data = fh.read()
-        if data and not data.endswith(b"\n"):
-            fh.truncate(data.rfind(b"\n") + 1)
+        kept = data.rfind(b"\n") + 1
+        if kept < len(data):
+            fh.truncate(kept)
+    return kept
 
 
 def run_plan(plan: ExperimentPlan, out_dir) -> SummaryTable:
@@ -238,11 +246,11 @@ def run_plan(plan: ExperimentPlan, out_dir) -> SummaryTable:
 
     Existing rows in ``out_dir/records.csv`` are treated as completed and
     skipped, so rerunning a finished directory performs no optimizer
-    executions; a torn final row is dropped and its trial rerun. A
-    directory whose plan.json differs in a RESULT_FIELDS entry raises
-    ValueError, as does a QUASAR_WORKERS value that is not an integer >= 1;
-    either is refused before any file is written. Returns the SummaryTable
-    also written to summary.json.
+    executions; a torn final row or header is dropped and rewritten.
+    ValueError is raised before any trial runs or plan.json is written
+    when plan.json is unreadable or differs in a RESULT_FIELDS entry, when
+    a row's gmax or seed is not this plan's, or when QUASAR_WORKERS is not
+    an integer >= 1. Returns the SummaryTable also written to summary.json.
     """
     text = os.environ.get(WORKERS_ENV, "1")
     try:
@@ -255,15 +263,26 @@ def run_plan(plan: ExperimentPlan, out_dir) -> SummaryTable:
     out.mkdir(parents=True, exist_ok=True)
     records_path = out / "records.csv"
     _check_same_results(out / "plan.json", plan)
-    (out / "plan.json").write_text(json.dumps(asdict(plan), indent=2))
-
     done = set()
-    if records_path.exists():
-        _drop_torn_row(records_path)
-        for rec in load_records(records_path):
-            done.add((rec.algo, rec.function, rec.dim, rec.pop, rec.trial))
+    if records_path.exists() and _drop_torn_row(records_path):
+        # A row with another gmax, or a seed this plan's master seed does
+        # not derive, was written by another plan. load_records skips blank
+        # lines, which run_plan never writes.
+        for lineno, rec in enumerate(load_records(records_path), start=2):
+            key = (rec.algo, rec.function, rec.dim, rec.pop, rec.trial)
+            seed = derive_seed(plan.master_seed, *key)
+            if (rec.gmax, rec.seed) != (plan.g_max, seed):
+                raise ValueError(
+                    f"{records_path}: line {lineno}: gmax {rec.gmax} and seed "
+                    f"{rec.seed} are not this plan's ({plan.g_max}, {seed})")
+            done.add(key)
     else:
+        # A new directory, or a kill while the header was being written.
         records_path.write_text(CSV_HEADER + "\n")
+    # Write aside and rename, so a kill never leaves a torn plan.json.
+    tmp = out / "plan.json.tmp"
+    tmp.write_text(json.dumps(asdict(plan), indent=2))
+    os.replace(tmp, out / "plan.json")
 
     trace_dir = str(out / "traces") if plan.save_traces else None
     jobs = [j for j in _plan_jobs(plan, trace_dir)
@@ -320,68 +339,6 @@ def load_records(path) -> List[TrialRecord]:
     return records
 
 
-def group_scenarios(records: List[TrialRecord]):
-    """Group finite records into aligned ScenarioResults.
-
-    Returns (scenarios, algorithms, n_failed); algorithm order follows
-    first appearance, scenario order follows first appearance of the
-    (function, dim, pop) key. Trials present for only some algorithms of a
-    scenario are dropped to keep vectors aligned.
-    """
-    finite = [r for r in records if np.isfinite(r.final_error)]
-    n_failed = len(records) - len(finite)
-    algorithms = list(dict.fromkeys(r.algo for r in finite))
-
-    by_key: Dict[tuple, Dict[str, Dict[int, TrialRecord]]] = {}
-    for r in finite:
-        key = (r.function, r.dim, r.pop)
-        by_key.setdefault(key, {}).setdefault(r.algo, {})[r.trial] = r
-
-    scenarios = []
-    for (function, dim, pop), per_algo in by_key.items():
-        common = None
-        for trials in per_algo.values():
-            ids = set(trials)
-            common = ids if common is None else common & ids
-        common = sorted(common or ())
-        if not common:
-            continue
-        errors = {a: np.array([per_algo[a][t].final_error for t in common])
-                  for a in per_algo}
-        runtimes = {a: np.array([per_algo[a][t].runtime_sec for t in common])
-                    for a in per_algo}
-        scenarios.append(ScenarioResults(function, dim, pop, errors, runtimes))
-    return scenarios, algorithms, n_failed
-
-
-def _scenario_summary(sc: ScenarioResults, reference: Optional[str]) -> ScenarioSummary:
-    gm_error = {
-        a: float(np.exp(np.mean(np.log(np.maximum(v, ERROR_FLOOR)))))
-        for a, v in sc.errors.items()
-    }
-    mean_runtime = {a: float(np.mean(v)) for a, v in sc.runtimes.items()}
-    summary = ScenarioSummary(
-        function=sc.function, dim=sc.dim, pop=sc.pop, n_trials=sc.n_trials,
-        gm_error=gm_error, mean_runtime=mean_runtime,
-        error_floor_applied=bool(
-            any(np.any(v < ERROR_FLOOR) for v in sc.errors.values())
-        ),
-    )
-    if reference is None or reference not in sc.errors:
-        return summary
-    ref_err = sc.errors[reference]
-    ref_time = sc.runtimes[reference]
-    for algo, err in sc.errors.items():
-        if algo == reference:
-            continue
-        g = gmerf(err, ref_err)
-        summary.gmerf[algo] = g
-        summary.gmerf_ci[algo] = _ci(err, ref_err, g)
-        summary.p_error[algo] = _paired_p(err, ref_err)
-        summary.p_runtime[algo] = _paired_p(sc.runtimes[algo], ref_time)
-    return summary
-
-
 def _ci(comp: np.ndarray, ref: np.ndarray, point: float) -> List[float]:
     """95% GMERF interval; a single trial has no spread, so [point, point]."""
     return list(gmerf_ci(comp, ref)) if comp.size >= 2 else [point, point]
@@ -399,69 +356,85 @@ def _paired_p(x: np.ndarray, y: np.ndarray) -> Optional[float]:
 
 
 def summarize_records(records: List[TrialRecord]) -> SummaryTable:
-    """Aggregate records into the full SummaryTable."""
-    scenarios, algorithms, n_failed = group_scenarios(records)
-    if not scenarios:
-        raise ValueError("no complete scenarios to summarize")
+    """Aggregate records into the full SummaryTable.
+
+    Non-finite rows count as failed. The rest group by (function, dim, pop)
+    scenario, algorithm and trial, where a repeated trial keeps its later
+    row. A scenario keeps the trials that every algorithm in it has, so its
+    vectors align by trial; one with no such trial is skipped. Algorithm
+    and scenario order follow first appearance.
+    """
+    finite = [r for r in records if np.isfinite(r.final_error)]
+    algorithms = list(dict.fromkeys(r.algo for r in finite))
     reference = REFERENCE_ALGO if REFERENCE_ALGO in algorithms else None
-    summaries = [_scenario_summary(sc, reference) for sc in scenarios]
+    table = SummaryTable(algorithms, reference,
+                         n_failed_trials=len(records) - len(finite))
+    by_key: Dict[tuple, Dict[str, Dict[int, TrialRecord]]] = {}
+    for r in finite:
+        key = (r.function, r.dim, r.pop)
+        by_key.setdefault(key, {}).setdefault(r.algo, {})[r.trial] = r
+
+    # Per kept scenario: its summary, then per-algorithm aligned errors
+    # and runtimes, which the overall statistics below reuse.
+    aligned = []
+    for (function, dim, pop), per_algo in by_key.items():
+        common = sorted(set.intersection(*map(set, per_algo.values())))
+        if not common:
+            continue
+        rows = {a: [trials[t] for t in common] for a, trials in per_algo.items()}
+        err = {a: np.array([r.final_error for r in rs]) for a, rs in rows.items()}
+        rt = {a: np.array([r.runtime_sec for r in rs]) for a, rs in rows.items()}
+        sc = ScenarioSummary(
+            function=function, dim=dim, pop=pop, n_trials=len(common),
+            gm_error={a: float(np.exp(np.mean(np.log(
+                np.maximum(v, ERROR_FLOOR))))) for a, v in err.items()},
+            mean_runtime={a: float(np.mean(v)) for a, v in rt.items()},
+            error_floor_applied=bool(
+                any(np.any(v < ERROR_FLOOR) for v in err.values())),
+        )
+        for algo in [a for a in err if a != reference and reference in err]:
+            g = gmerf(err[algo], err[reference])
+            sc.gmerf[algo] = g
+            sc.gmerf_ci[algo] = _ci(err[algo], err[reference], g)
+            sc.p_error[algo] = _paired_p(err[algo], err[reference])
+            sc.p_runtime[algo] = _paired_p(rt[algo], rt[reference])
+        table.scenarios.append(sc)
+        aligned.append((sc, err, rt))
+    if not aligned:
+        raise ValueError("no complete scenarios to summarize")
 
     # Friedman over scenarios where every algorithm is present.
-    rank_sums: Dict[str, float] = {}
-    friedman_stat = friedman_p = None
-    full = [sc for sc in scenarios if set(sc.errors) == set(algorithms)]
+    full = [err for _, err, _ in aligned if len(err) == len(algorithms)]
     if len(algorithms) >= 2 and full:
-        medians = np.array([
-            [float(np.median(sc.errors[a])) for a in algorithms]
-            for sc in full
-        ])
-        fr = friedman_rank_sums(medians)
-        rank_sums = {a: float(s) for a, s in zip(algorithms, fr.rank_sums)}
-        friedman_stat, friedman_p = fr.statistic, fr.p_value
+        fr = friedman_rank_sums(
+            [[np.median(err[a]) for a in algorithms] for err in full])
+        table.rank_sums = {a: float(s) for a, s in zip(algorithms, fr.rank_sums)}
+        table.friedman_statistic, table.friedman_p = fr.statistic, fr.p_value
 
-    gmerf_overall_d: Dict[str, float] = {}
-    gmerf_overall_ci: Dict[str, List[float]] = {}
-    ratio_by_dim: Dict[str, Dict[str, float]] = {}
-    ratio_by_pop: Dict[str, Dict[str, float]] = {}
-    ratio_overall: Dict[str, float] = {}
-    if reference is not None:
-        for algo in algorithms:
-            if algo == reference:
-                continue
-            pair = [sc for sc in scenarios
-                    if algo in sc.errors and reference in sc.errors]
-            if not pair:
-                continue
-            g = gmerf_overall([gmerf(sc.errors[algo], sc.errors[reference])
-                               for sc in pair])
-            gmerf_overall_d[algo] = g
-            gmerf_overall_ci[algo] = _ci(
-                np.concatenate([sc.errors[algo] for sc in pair]),
-                np.concatenate([sc.errors[reference] for sc in pair]), g)
+    # Overall statistics pool the scenarios where the algorithm has a
+    # GMERF, i.e. runs beside the reference.
+    for algo in algorithms:
+        pair = [(sc, err, rt) for sc, err, rt in aligned if algo in sc.gmerf]
+        if not pair:
+            continue
+        g = gmerf_overall([sc.gmerf[algo] for sc, _, _ in pair])
+        table.gmerf_overall[algo] = g
+        table.gmerf_overall_ci[algo] = _ci(
+            np.concatenate([err[algo] for _, err, _ in pair]),
+            np.concatenate([err[reference] for _, err, _ in pair]), g)
 
-            tc = np.concatenate([sc.runtimes[algo] for sc in pair])
-            tr = np.concatenate([sc.runtimes[reference] for sc in pair])
-            dims = np.concatenate([[sc.dim] * sc.n_trials for sc in pair])
-            pops = np.concatenate([[sc.pop] * sc.n_trials for sc in pair])
-            cells = np.array([f"{d}/{p}" for d, p in zip(dims, pops)])
-            ratio_by_dim[algo] = runtime_ratios(tc, tr, dims).ratio_of_means
-            ratio_by_pop[algo] = runtime_ratios(tc, tr, pops).ratio_of_means
-            ratio_overall[algo] = runtime_ratios(tc, tr, cells).overall
-
-    return SummaryTable(
-        algorithms=algorithms,
-        reference=reference,
-        scenarios=summaries,
-        rank_sums=rank_sums,
-        friedman_statistic=friedman_stat,
-        friedman_p=friedman_p,
-        gmerf_overall=gmerf_overall_d,
-        gmerf_overall_ci=gmerf_overall_ci,
-        runtime_ratio_by_dim=ratio_by_dim,
-        runtime_ratio_by_pop=ratio_by_pop,
-        runtime_ratio_overall=ratio_overall,
-        n_failed_trials=n_failed,
-    )
+        tc = np.concatenate([rt[algo] for _, _, rt in pair])
+        tr = np.concatenate([rt[reference] for _, _, rt in pair])
+        dims = np.concatenate([[sc.dim] * sc.n_trials for sc, _, _ in pair])
+        pops = np.concatenate([[sc.pop] * sc.n_trials for sc, _, _ in pair])
+        cells = np.array([f"{d}/{p}" for d, p in zip(dims, pops)])
+        table.runtime_ratio_by_dim[algo] = runtime_ratios(
+            tc, tr, dims).ratio_of_means
+        table.runtime_ratio_by_pop[algo] = runtime_ratios(
+            tc, tr, pops).ratio_of_means
+        table.runtime_ratio_overall[algo] = runtime_ratios(
+            tc, tr, cells).overall
+    return table
 
 
 def emit_summary(records_path, out_dir=None) -> SummaryTable:

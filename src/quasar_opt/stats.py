@@ -176,13 +176,11 @@ def wilcoxon_signed_rank(x, y) -> Tuple[float, float]:
 class RuntimeRatios:
     """Run-time comparison grouped by a label (dimension or sample size).
 
-    ratio_of_means[g] divides the groups' mean run times; paired_mean[g] is
-    the mean of per-trial ratios within the group; overall averages the
-    per-group paired means.
+    ratio_of_means[g] divides the groups' mean run times; overall averages,
+    over the groups, the mean of per-trial ratios within each group.
     """
 
     ratio_of_means: Dict[str, float]
-    paired_mean: Dict[str, float]
     overall: float
 
 
@@ -199,41 +197,12 @@ def runtime_ratios(times_comparison, times_reference, groups) -> RuntimeRatios:
     if np.any(tc <= 0) or np.any(tr <= 0):
         raise ValueError("run times must be positive")
     ratio_of_means: Dict[str, float] = {}
-    paired_mean: Dict[str, float] = {}
+    paired_means = []
     for g in dict.fromkeys(labels.tolist()):  # first-appearance order
         sel = labels == g
         ratio_of_means[str(g)] = float(tc[sel].mean() / tr[sel].mean())
-        paired_mean[str(g)] = float(np.mean(tc[sel] / tr[sel]))
-    overall = float(np.mean(list(paired_mean.values())))
-    return RuntimeRatios(ratio_of_means, paired_mean, overall)
-
-
-@dataclass
-class ScenarioResults:
-    """Aligned per-trial results for one (function, dim, pop) cell.
-
-    Error and runtime vectors are aligned by trial index across algorithms
-    and must share one common length.
-    """
-
-    function: str
-    dim: int
-    pop: int
-    errors: Dict[str, np.ndarray]
-    runtimes: Dict[str, np.ndarray]
-
-    def __post_init__(self):
-        lengths = {len(v) for v in self.errors.values()}
-        lengths |= {len(v) for v in self.runtimes.values()}
-        if len(lengths) != 1 or lengths.pop() < 1:
-            raise ValueError(
-                f"per-trial vectors for {self.function}/D={self.dim}/"
-                f"N={self.pop} must share one nonzero length"
-            )
-
-    @property
-    def n_trials(self) -> int:
-        return len(next(iter(self.errors.values())))
+        paired_means.append(float(np.mean(tc[sel] / tr[sel])))
+    return RuntimeRatios(ratio_of_means, float(np.mean(paired_means)))
 
 
 @dataclass
@@ -258,16 +227,16 @@ class SummaryTable:
     """Full experiment summary: per-scenario stats plus overall aggregates."""
 
     algorithms: List[str]
-    reference: Optional[str]
-    scenarios: List[ScenarioSummary]
-    rank_sums: Dict[str, float]
-    friedman_statistic: Optional[float]
-    friedman_p: Optional[float]
-    gmerf_overall: Dict[str, float]
-    gmerf_overall_ci: Dict[str, List[float]]
-    runtime_ratio_by_dim: Dict[str, Dict[str, float]]
-    runtime_ratio_by_pop: Dict[str, Dict[str, float]]
-    runtime_ratio_overall: Dict[str, float]
+    reference: Optional[str] = None
+    scenarios: List[ScenarioSummary] = field(default_factory=list)
+    rank_sums: Dict[str, float] = field(default_factory=dict)
+    friedman_statistic: Optional[float] = None
+    friedman_p: Optional[float] = None
+    gmerf_overall: Dict[str, float] = field(default_factory=dict)
+    gmerf_overall_ci: Dict[str, List[float]] = field(default_factory=dict)
+    runtime_ratio_by_dim: Dict[str, Dict[str, float]] = field(default_factory=dict)
+    runtime_ratio_by_pop: Dict[str, Dict[str, float]] = field(default_factory=dict)
+    runtime_ratio_overall: Dict[str, float] = field(default_factory=dict)
     n_failed_trials: int = 0
 
     @classmethod

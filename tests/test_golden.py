@@ -148,12 +148,12 @@ def test_de_golden(name):
 
 
 
-# Summary bytes. A fixed synthetic records file covers every branch of the
+# Summary bytes. Fixed synthetic records files cover every branch of the
 # summary path: per-scenario and pooled confidence intervals (with the
 # point-value fallback for one trial), an error floored at 1e-12, a NaN
 # row, a trial present for one algorithm only, a one-algorithm scenario, a
-# Friedman tie on medians, identical runtimes (p = 1) and too few nonzero
-# pairs (p = None).
+# Friedman tie on medians, identical runtimes (p = 1), too few nonzero
+# pairs (p = None), and the cases listed above EDGE_CELLS.
 
 # (function, dim, pop): {algo: (errors, runtimes)}, trial t is index t.
 SUMMARY_CELLS = {
@@ -186,6 +186,27 @@ SINGLE_TRIAL_CELLS = {
     ("sphere", 10, 50): {"quasar": ([0.3], [0.01]), "de": ([0.9], [0.02])},
 }
 
+# An optional third entry lists each row's trial id. Branches the mixed case
+# misses: a repeated trial id (the later row wins), a scenario whose
+# algorithms share no trial (skipped), and a scenario without the reference
+# algorithm while the reference runs elsewhere.
+EDGE_CELLS = {
+    ("sphere", 10, 50): {
+        "quasar": ([0.5, 0.25, 1.5, 0.75, 2.0, 0.125],
+                   [0.011, 0.012, 0.010, 0.013, 0.011, 0.012]),
+        "de": ([2.0, 3.5, 1.0, 4.0, 2.5, 6.0, 0.4],
+               [0.020, 0.021, 0.019, 0.022, 0.020, 0.023, 0.030],
+               [0, 1, 2, 3, 4, 5, 2]),
+    },
+    ("ackley", 10, 50): {
+        "quasar": ([0.1, 0.2], [0.011, 0.012], [0, 1]),
+        "de": ([0.3, 0.4], [0.021, 0.022], [2, 3]),
+    },
+    ("rastrigin", 10, 50): {
+        "de": ([7.0, 9.0, 8.0], [0.025, 0.024, 0.026]),
+    },
+}
+
 # name: (SHA-256 of summary.json, plot_data.csv text)
 SUMMARY_GOLDEN = {
     "mixed": (
@@ -205,6 +226,12 @@ SUMMARY_GOLDEN = {
         "algo,function,dim,pop,gm_error,mean_runtime_sec\n"
         "quasar,sphere,10,50,0.3,0.01\n"
         "de,sphere,10,50,0.9,0.02\n"),
+    "edges": (
+        "b0dcec9267e2e4ef948e6caafc3d57c99728574e8485c82c506140dcaf5be5d7",
+        "algo,function,dim,pop,gm_error,mean_runtime_sec\n"
+        "quasar,sphere,10,50,0.5723571212766659,0.011499999999999998\n"
+        "de,sphere,10,50,2.349010079323254,0.02266666666666667\n"
+        "de,rastrigin,10,50,7.958114415792782,0.024999999999999998\n"),
 }
 
 PLAN_JSON_GOLDEN = """{
@@ -233,15 +260,17 @@ PLAN_JSON_GOLDEN = """{
 def write_cells(path, cells):
     lines = [CSV_HEADER]
     for (function, dim, pop), per_algo in cells.items():
-        for algo, (errors, runtimes) in per_algo.items():
-            for t, (e, rt) in enumerate(zip(errors, runtimes)):
+        for algo, (errors, runtimes, *ids) in per_algo.items():
+            trials = ids[0] if ids else range(len(errors))
+            for t, e, rt in zip(trials, errors, runtimes):
                 lines.append(f"{algo},{function},{dim},{pop},5,{t},{t + 1},"
                              f"{e!r},{rt!r},100")
     path.write_text("\n".join(lines) + "\n")
 
 
 @pytest.mark.parametrize("name,cells", [("mixed", SUMMARY_CELLS),
-                                        ("single_trial", SINGLE_TRIAL_CELLS)])
+                                        ("single_trial", SINGLE_TRIAL_CELLS),
+                                        ("edges", EDGE_CELLS)])
 def test_summary_bytes_golden(name, cells, tmp_path):
     write_cells(tmp_path / "records.csv", cells)
     emit_summary(tmp_path / "records.csv")

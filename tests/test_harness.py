@@ -166,6 +166,85 @@ class TestRunPlan:
         run_plan(plan, tmp_path)
         assert path.read_bytes() == resumed
 
+    def test_torn_header_resumes(self, tmp_path):
+        plan = ExperimentPlan(algorithms=["quasar"], **TINY)
+        run_plan(plan, tmp_path / "fresh")
+        torn = tmp_path / "torn"
+        torn.mkdir()
+        (torn / "records.csv").write_text(CSV_HEADER[:16])
+        run_plan(plan, torn)
+        header, rows = read_rows(torn / "records.csv")
+        _, fresh = read_rows(tmp_path / "fresh" / "records.csv")
+        strip = lambda rows: [r[:8] + r[9:] for r in rows]  # drop runtime col
+        assert header == CSV_HEADER
+        assert strip(rows) == strip(fresh)
+
+    def test_plan_json_survives_a_kill_mid_write(self, tmp_path, monkeypatch):
+        plan = ExperimentPlan(algorithms=["quasar"], **TINY)
+        run_plan(plan, tmp_path)
+        plan_json = (tmp_path / "plan.json").read_text()
+        real_write = Path.write_text
+
+        class Killed(Exception):
+            pass
+
+        def killed_mid_write(path, text, *args, **kwargs):
+            if path.name.startswith("plan.json"):
+                real_write(path, text[:10], *args, **kwargs)
+                raise Killed
+            return real_write(path, text, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", killed_mid_write)
+        with pytest.raises(Killed):
+            run_plan(plan, tmp_path)
+        monkeypatch.undo()
+        assert (tmp_path / "plan.json").read_text() == plan_json
+        run_plan(plan, tmp_path)
+        assert (tmp_path / "plan.json").read_text() == plan_json
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "plan.json", "plot_data.csv", "records.csv", "summary.json"]
+
+    @pytest.mark.parametrize("text", ["", '{"g_max": 5', "[]"],
+                             ids=["empty", "torn", "not_an_object"])
+    def test_unreadable_plan_json_named(self, tmp_path, capsys, text):
+        run_plan(ExperimentPlan(algorithms=["quasar"], **TINY), tmp_path)
+        (tmp_path / "plan.json").write_text(text)
+        code = cli_main(["run", "--dims", "5", "--pops", "20", "--gmax", "5",
+                         "--trials", "3", "--seed", "7", "--algos", "quasar",
+                         "--functions", "sphere", "--out", str(tmp_path)])
+        assert code == 2
+        assert f"{tmp_path / 'plan.json'}: unreadable plan" in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("g_max", 7, "line 2: gmax 5 and seed {seed} are not this plan's "
+                     "(7, {seed})"),
+        ("master_seed", 8, "line 2: gmax 5 and seed {seed} are not this "
+                           "plan's (5, {new_seed})"),
+    ], ids=["gmax", "master_seed"])
+    def test_rows_of_another_plan_refused(self, tmp_path, monkeypatch,
+                                          field, value, message):
+        run_plan(ExperimentPlan(algorithms=["quasar"], **TINY), tmp_path)
+        (tmp_path / "plan.json").unlink()
+        path = tmp_path / "records.csv"
+        path.write_text("".join(path.read_text().splitlines(True)[:-1]))
+        records = path.read_bytes()
+
+        def no_trial(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(harness, "run_trial", no_trial)
+        stale = ExperimentPlan(algorithms=["quasar"],
+                               **dict(TINY, **{field: value}))
+        with pytest.raises(ValueError) as err:
+            run_plan(stale, tmp_path)
+        seed = derive_seed(7, "quasar", "sphere", 5, 20, 0)
+        new_seed = derive_seed(8, "quasar", "sphere", 5, 20, 0)
+        assert f"{path}: {message.format(seed=seed, new_seed=new_seed)}" \
+            in str(err.value)
+        assert path.read_bytes() == records
+        assert not (tmp_path / "plan.json").exists()
+
     def test_changed_result_fields_refused(self, tmp_path, capsys):
         run_plan(ExperimentPlan(algorithms=["quasar"], **TINY), tmp_path)
         plan_json = (tmp_path / "plan.json").read_text()

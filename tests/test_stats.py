@@ -6,7 +6,6 @@ import scipy.stats
 
 from quasar_opt import gmerf, gmerf_ci, gmerf_overall
 from quasar_opt.stats import (
-    ScenarioResults,
     _average_ranks,
     friedman_rank_sums,
     runtime_ratios,
@@ -243,27 +242,10 @@ class TestRuntimeRatios:
             groups += [g, g]
         result = runtime_ratios(tc, tq, groups)
         assert result.overall == pytest.approx(np.mean(ratios))
-        assert result.paired_mean == {
-            str(g): pytest.approx(r) for g, r in enumerate(ratios)
-        }
 
     def test_rejects_nonpositive_times(self):
         with pytest.raises(ValueError, match="positive"):
             runtime_ratios([1.0, 0.0], [1.0, 1.0], [1, 1])
-
-
-class TestScenarioResults:
-    def test_alignment_enforced(self):
-        with pytest.raises(ValueError, match="share one nonzero length"):
-            ScenarioResults("f", 10, 100,
-                            errors={"a": np.ones(3), "b": np.ones(2)},
-                            runtimes={"a": np.ones(3), "b": np.ones(3)})
-
-    def test_n_trials(self):
-        sc = ScenarioResults("f", 10, 100,
-                             errors={"a": np.ones(4), "b": np.ones(4)},
-                             runtimes={"a": np.ones(4), "b": np.ones(4)})
-        assert sc.n_trials == 4
 
 
 # The package's statistics once called scipy.stats; these oracles are those
