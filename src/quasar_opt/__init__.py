@@ -1,6 +1,7 @@
 """quasar_opt: the QUASAR evolutionary optimizer, a DE baseline, a
 shifted/rotated benchmark suite, comparison statistics and an experiment
-harness. NumPy/SciPy only.
+harness. NumPy is the only library loaded at run time; scipy is read from
+disk only for its Joe-Kuo Sobol direction-number file.
 
 The names below are the public API, as listed in the README's "Public API"
 section. Everything else in the submodules is internal and may change."""

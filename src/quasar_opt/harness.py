@@ -249,8 +249,9 @@ def run_plan(plan: ExperimentPlan, out_dir) -> SummaryTable:
     executions; a torn final row or header is dropped and rewritten.
     ValueError is raised before any trial runs or plan.json is written
     when plan.json is unreadable or differs in a RESULT_FIELDS entry, when
-    a row's gmax or seed is not this plan's, or when QUASAR_WORKERS is not
-    an integer >= 1. Returns the SummaryTable also written to summary.json.
+    a row's gmax or seed is not this plan's, when records.csv has rows but
+    plan.json is missing, or when QUASAR_WORKERS is not an integer >= 1.
+    Returns the SummaryTable also written to summary.json.
     """
     text = os.environ.get(WORKERS_ENV, "1")
     try:
@@ -276,6 +277,10 @@ def run_plan(plan: ExperimentPlan, out_dir) -> SummaryTable:
                     f"{records_path}: line {lineno}: gmax {rec.gmax} and seed "
                     f"{rec.seed} are not this plan's ({plan.g_max}, {seed})")
             done.add(key)
+        # Rows do not carry suite_seed; only plan.json vouches for it.
+        if done and not (out / "plan.json").exists():
+            raise ValueError(f"{records_path} has rows but {out / 'plan.json'}"
+                             " is missing, so their suite_seed is unknown")
     else:
         # A new directory, or a kill while the header was being written.
         records_path.write_text(CSV_HEADER + "\n")

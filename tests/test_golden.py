@@ -15,12 +15,15 @@ alters any output byte fails here too.
 """
 
 import hashlib
+import json
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.special
 
 import quasar_opt.quasar as quasar_mod
+import quasar_opt.stats as stats_mod
 from quasar_opt import (
     BoundsBox,
     DeConfig,
@@ -207,10 +210,12 @@ EDGE_CELLS = {
     },
 }
 
-# name: (SHA-256 of summary.json, plot_data.csv text)
+# name: (SHA-256 of summary.json, plot_data.csv text). Beside the pinned
+# bytes, test_summary_equals_the_scipy_special_summary checks the statistic
+# fields against scipy.special's ufuncs.
 SUMMARY_GOLDEN = {
     "mixed": (
-        "8f3650ba019a4b38a038b9e6ba76c0ba9fc4fdfc5dd265a62b159c107378fe02",
+        "0d1af5bc9bad7b80ec7551d21c7a7072595f16ee290e5c6af34a02cb0f9a7aaf",
         "algo,function,dim,pop,gm_error,mean_runtime_sec\n"
         "quasar,sphere,10,50,0.5723571212766659,0.011499999999999998\n"
         "de,sphere,10,50,2.7365804185549725,0.020833333333333332\n"
@@ -222,12 +227,12 @@ SUMMARY_GOLDEN = {
         "de,ackley,20,100,0.8,0.09\n"
         "quasar,rastrigin,20,100,10.358772535435621,0.07\n"),
     "single_trial": (
-        "b750c67a690b2c2b3ed134a2c57491fcdd8ae6081b7969bcbbb73e90b5ddc91c",
+        "3486f4773a0c86713a38299740f14dc761ccaf0e255d70eaad91a59688770d97",
         "algo,function,dim,pop,gm_error,mean_runtime_sec\n"
         "quasar,sphere,10,50,0.3,0.01\n"
         "de,sphere,10,50,0.9,0.02\n"),
     "edges": (
-        "b0dcec9267e2e4ef948e6caafc3d57c99728574e8485c82c506140dcaf5be5d7",
+        "2d1740d3f8df576aa1246520d898fad47f4a633c29a23598988e763480ad9927",
         "algo,function,dim,pop,gm_error,mean_runtime_sec\n"
         "quasar,sphere,10,50,0.5723571212766659,0.011499999999999998\n"
         "de,sphere,10,50,2.349010079323254,0.02266666666666667\n"
@@ -278,6 +283,73 @@ def test_summary_bytes_golden(name, cells, tmp_path):
     plot_data = (tmp_path / "plot_data.csv").read_text()
     assert (hashlib.sha256(summary).hexdigest(), plot_data) == \
         SUMMARY_GOLDEN[name]
+
+
+# The summary fields computed from the t, chi-square and normal helpers.
+STAT_FIELDS = ("friedman_p", "gmerf_overall_ci", "gmerf_ci", "p_error",
+               "p_runtime")
+
+
+def split_stat_fields(summary):
+    """Pop the statistic fields out of a parsed summary.json, top level and
+    per scenario, and return them flattened to (path, value) pairs."""
+    flat = []
+
+    def walk(path, value):
+        if isinstance(value, (dict, list)):
+            items = value.items() if isinstance(value, dict) else enumerate(value)
+            for k, v in items:
+                walk(path + (k,), v)
+        else:
+            flat.append((path, value))
+
+    for i, part in enumerate([summary, *summary["scenarios"]]):
+        for name in STAT_FIELDS:
+            if name in part:
+                walk((i, name), part.pop(name))
+    return flat
+
+
+@pytest.mark.parametrize("cells", [SUMMARY_CELLS, SINGLE_TRIAL_CELLS,
+                                   EDGE_CELLS],
+                         ids=["mixed", "single_trial", "edges"])
+def test_summary_equals_the_scipy_special_summary(cells, tmp_path,
+                                                  monkeypatch):
+    """The math-module helpers change only the five statistic fields, and
+    those by at most 1e-12 relative against scipy.special's ufuncs."""
+    records = tmp_path / "records.csv"
+    write_cells(records, cells)
+    emit_summary(records)
+    ours = json.loads((tmp_path / "summary.json").read_text())
+    calls = []
+
+    def t_quantile(df, q):
+        calls.append("stdtrit")
+        return float(scipy.special.stdtrit(df, q))
+
+    def chi2_sf(df, x):
+        calls.append("chdtrc")
+        # chdtrc gives NaN a hair below 0, where the helper gives 1.0.
+        return float(scipy.special.chdtrc(df, max(x, 0.0)))
+
+    def normal_cdf(z):
+        calls.append("ndtr")
+        return float(scipy.special.ndtr(z))
+
+    monkeypatch.setattr(stats_mod, "_t_quantile", t_quantile)
+    monkeypatch.setattr(stats_mod, "_chi2_sf", chi2_sf)
+    monkeypatch.setattr(stats_mod, "_normal_cdf", normal_cdf)
+    emit_summary(records)
+    theirs = json.loads((tmp_path / "summary.json").read_text())
+    assert calls
+    our_stats, their_stats = split_stat_fields(ours), split_stat_fields(theirs)
+    assert ours == theirs
+    assert [path for path, _ in our_stats] == [path for path, _ in their_stats]
+    for (path, got), (_, want) in zip(our_stats, their_stats):
+        if want is None:
+            assert got is None, path
+        else:
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0), path
 
 
 def test_plan_json_golden(tmp_path):

@@ -245,6 +245,44 @@ class TestRunPlan:
         assert path.read_bytes() == records
         assert not (tmp_path / "plan.json").exists()
 
+    def test_rows_without_plan_json_refused(self, tmp_path, capsys,
+                                            monkeypatch):
+        # Rows do not carry suite_seed, so without plan.json a rerun with
+        # another suite would append trials of a different suite.
+        args = ["run", "--dims", "5", "--pops", "20", "--trials", "2",
+                "--gmax", "2", "--functions", "sphere", "--algos", "quasar",
+                "--out", str(tmp_path)]
+        assert cli_main(args + ["--suite-seed", "1"]) == 0
+        (tmp_path / "plan.json").unlink()
+        path = tmp_path / "records.csv"
+        path.write_text("".join(path.read_text().splitlines(True)[:-1]))
+        records = path.read_bytes()
+
+        def no_trial(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(harness, "run_trial", no_trial)
+        capsys.readouterr()
+        assert cli_main(args + ["--suite-seed", "2"]) == 2
+        assert f"{path} has rows but {tmp_path / 'plan.json'} is missing" in \
+            capsys.readouterr().err
+        assert path.read_bytes() == records
+        assert not (tmp_path / "plan.json").exists()
+
+    def test_header_only_records_without_plan_json_start_fresh(self, tmp_path):
+        # What a kill between the header write and the plan.json replace
+        # leaves behind.
+        plan = ExperimentPlan(algorithms=["quasar"], **TINY)
+        run_plan(plan, tmp_path / "fresh")
+        (tmp_path / "records.csv").write_text(CSV_HEADER + "\n")
+        run_plan(plan, tmp_path)
+        _, rows = read_rows(tmp_path / "records.csv")
+        _, fresh = read_rows(tmp_path / "fresh" / "records.csv")
+        strip = lambda rows: [r[:8] + r[9:] for r in rows]  # drop runtime col
+        assert strip(rows) == strip(fresh)
+        assert (tmp_path / "plan.json").read_text() == \
+            (tmp_path / "fresh" / "plan.json").read_text()
+
     def test_changed_result_fields_refused(self, tmp_path, capsys):
         run_plan(ExperimentPlan(algorithms=["quasar"], **TINY), tmp_path)
         plan_json = (tmp_path / "plan.json").read_text()

@@ -1,8 +1,10 @@
 """Import weight of the package.
 
-Running the optimizers must load no scipy module at all: scipy.special
-costs ~24 MB and ~0.35 s to import, and the optimizers need only numpy.
-Summarizing loads scipy.special, but never scipy.stats (~45 MB and ~1.5 s).
+No code path loads any scipy module: not the optimizers, not the summary
+statistics, not a CLI run followed by a summarize. numpy is the only
+run-time dependency; scipy is read from disk only for the Joe-Kuo Sobol
+direction-number file. Importing scipy.special would cost ~20-26 MB and
+~0.3 s, and scipy.stats ~45 MB and ~1.5 s more.
 """
 
 import os
@@ -40,7 +42,27 @@ records = [TrialRecord(algo, "sphere", 3, 16, 5, t, t, err, 0.01 * (t + 1), 96)
 table = summarize_records(records)
 assert table.scenarios[0].p_error["de"] is not None
 assert table.friedman_p is not None
-loaded = sorted(m for m in sys.modules if m.startswith("scipy.stats"))
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, loaded
+"""
+
+CLI = """
+import json
+import sys
+import tempfile
+from pathlib import Path
+from quasar_opt import cli
+
+with tempfile.TemporaryDirectory() as out:
+    assert cli.main(["run", "--dims", "5", "--pops", "20", "--gmax", "2",
+                     "--trials", "5", "--functions", "sphere,rastrigin",
+                     "--algos", "quasar,de", "--out", out]) == 0
+    assert cli.main(["summarize", "--in", out]) == 0
+    summary = json.loads((Path(out) / "summary.json").read_text())
+assert summary["friedman_p"] is not None
+assert summary["scenarios"][0]["gmerf_ci"]["de"]
+assert summary["scenarios"][0]["p_error"]["de"] is not None
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 assert not loaded, loaded
 """
 
@@ -56,5 +78,9 @@ def test_optimizers_leave_scipy_unimported():
     run_fresh(OPTIMIZE)
 
 
-def test_package_leaves_scipy_stats_unimported():
+def test_summary_leaves_scipy_unimported():
     run_fresh(SUMMARIZE)
+
+
+def test_cli_run_and_summarize_leave_scipy_unimported():
+    run_fresh(CLI)

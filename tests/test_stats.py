@@ -1,16 +1,27 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
+from hypothesis import given, settings, strategies as st
 
 from quasar_opt import gmerf, gmerf_ci, gmerf_overall
 from quasar_opt.stats import (
     _average_ranks,
+    _chi2_sf,
+    _normal_cdf,
+    _t_quantile,
     friedman_rank_sums,
     runtime_ratios,
     wilcoxon_signed_rank,
 )
+
+
+def rel(x, tol):
+    """A float within ``tol`` relative of x, with no absolute slack."""
+    return pytest.approx(x, rel=tol, abs=0.0)
 
 
 class TestGmerf:
@@ -249,7 +260,8 @@ class TestRuntimeRatios:
 
 
 # The package's statistics once called scipy.stats; these oracles are those
-# formulas verbatim, so the scipy.special forms must give the same floats.
+# formulas verbatim. Ranks and statistics must be the same floats; p-values
+# and interval bounds, now from the math-module helpers, agree to 1e-12.
 def gmerf_ci_oracle(comp, ref, level):
     logs = np.log(np.maximum(comp, 1e-12)) - np.log(np.maximum(ref, 1e-12))
     n = logs.size
@@ -301,7 +313,8 @@ class TestEqualToScipyStats:
             n = int(rng.integers(2, 40))
             comp, ref = rng.lognormal(size=n), rng.lognormal(size=n)
             level = float(rng.uniform(0.05, 0.99))
-            assert gmerf_ci(comp, ref, level) == gmerf_ci_oracle(comp, ref, level)
+            assert gmerf_ci(comp, ref, level) == \
+                rel(gmerf_ci_oracle(comp, ref, level), 1e-12)
 
     def test_friedman_rank_sums(self):
         rng = np.random.default_rng(22)
@@ -311,7 +324,8 @@ class TestEqualToScipyStats:
             got = friedman_rank_sums(m)
             sums, stat, p = friedman_oracle(m)
             assert np.array_equal(got.rank_sums, sums)
-            assert (got.statistic, got.p_value) == (stat, p)
+            assert got.statistic == stat
+            assert got.p_value == rel(p, 1e-12)
 
     def test_friedman_statistic_rounded_below_zero(self):
         # Equal rank sums: the statistic is 0 in exact arithmetic but comes
@@ -328,4 +342,127 @@ class TestEqualToScipyStats:
             n = int(rng.integers(8, 40))
             x = np.round(rng.lognormal(size=n), 1)
             y = np.round(rng.lognormal(size=n), 1)
-            assert wilcoxon_signed_rank(x, y) == wilcoxon_oracle(x, y)
+            (statistic, p), (want_stat, want_p) = (wilcoxon_signed_rank(x, y),
+                                                   wilcoxon_oracle(x, y))
+            assert statistic == want_stat
+            assert p == rel(want_p, 1e-12)
+
+
+T_QS = np.concatenate((np.linspace(0.5005, 0.999, 25),
+                       1.0 - np.geomspace(1e-3, 1e-9, 13)))
+
+
+class TestDistributionHelpers:
+    """The math-module helpers that replace scipy.special's stdtrit, chdtrc
+    and ndtr: dense grids against scipy, values pinned from mpmath, edges
+    and monotonicity."""
+
+    def test_t_quantile_grid(self):
+        # scipy's own stdtrit is off by up to ~1.4e-11 near q = 0.5 for
+        # small df (df 4, q 0.5005 against mpmath); where the two disagree
+        # by more than 1e-12, the helper must be the one mpmath confirms.
+        for df in [*range(1, 201), 1000]:
+            for q in T_QS:
+                got, want = _t_quantile(df, q), float(scipy.special.stdtrit(df, q))
+                if got == rel(want, 1e-12):
+                    continue
+                import mpmath
+
+                with mpmath.workdps(40):
+                    exact = mpmath.findroot(
+                        lambda t: mpmath.betainc(df / 2, 0.5, 0,
+                                                 df / (df + t * t),
+                                                 regularized=True) / 2
+                        - (1 - mpmath.mpf(q)), want)
+                assert got == rel(float(exact), 1e-13), (df, q)
+
+    @pytest.mark.parametrize("df", [3, 10, 50, 1000, 5000])
+    def test_t_quantile_next_to_one(self, df):
+        for q in (1 - 1e-12, 1 - 1e-15, math.nextafter(1.0, 0.0)):
+            assert _t_quantile(df, q) == \
+                rel(float(scipy.special.stdtrit(df, q)), 1e-12), q
+
+    def test_chi2_sf_grid(self):
+        for df in range(1, 21):
+            for x in np.concatenate((np.geomspace(1e-12, 1.0, 40),
+                                     np.linspace(0.0, 200.0, 801))):
+                want = float(scipy.special.chdtrc(df, x))
+                if want >= 1e-300:
+                    assert _chi2_sf(df, x) == rel(want, 1e-12), (df, x)
+
+    def test_normal_cdf_grid(self):
+        for z in np.linspace(-37.0, 8.0, 4501):
+            assert _normal_cdf(z) == rel(float(scipy.special.ndtr(z)), 1e-12)
+
+    # Computed once with mpmath at 50 digits, from the exact float inputs.
+    @pytest.mark.parametrize("df,q,want", [
+        (3, 0.975, 3.1824463052837084359),
+        (4, 0.5005, 0.0013333338271606652259),
+        (29, 0.975, 2.0452296421327038745),
+        (5, 1 - 1e-9, 98.937225208242134296),
+        (200, 0.99999, 4.3693895523436927024),
+        (1000, 0.9985, 2.9750308919457893981),
+    ])
+    def test_t_quantile_pinned(self, df, q, want):
+        assert _t_quantile(df, q) == rel(want, 1e-13)
+
+    @pytest.mark.parametrize("df,x,want", [
+        (1, 0.5, 0.47950012218695346232),
+        (2, 3.0, 0.22313016014842982893),
+        (5, 11.0, 0.051379983483069532207),
+        (20, 200.0, 1.1253473960842733885e-31),
+    ])
+    def test_chi2_sf_pinned(self, df, x, want):
+        assert _chi2_sf(df, x) == rel(want, 1e-13)
+
+    # Below about z = -30 the rounding of z / sqrt(2) alone moves erfc by
+    # more than 1e-13 (the condition number is ~z^2), so the pins stop at -20.
+    @pytest.mark.parametrize("z,want", [
+        (-20.0, 2.7536241186062336951e-89),
+        (-1.5, 0.066807201268858066004),
+        (0.5, 0.69146246127401310364),
+        (3.0, 0.99865010196836990547),
+    ])
+    def test_normal_cdf_pinned(self, z, want):
+        assert _normal_cdf(z) == rel(want, 1e-13)
+
+    @pytest.mark.parametrize("df", range(1, 8))
+    def test_chi2_sf_is_one_at_and_below_zero(self, df):
+        for x in (0.0, -6e-14, -1.0):
+            assert _chi2_sf(df, x) == 1.0
+
+    def test_t_quantile_df1_is_the_cauchy_quantile(self):
+        for q in np.linspace(0.5005, 0.99, 50):
+            assert _t_quantile(1, q) == rel(math.tan(math.pi * (q - 0.5)), 1e-12)
+
+    @pytest.mark.parametrize("df", [1, 2, 3, 4, 29, 1000])
+    def test_t_quantile_median_is_zero_and_q_one_infinite(self, df):
+        assert _t_quantile(df, 0.5) == 0.0
+        assert _t_quantile(df, 1.0) == math.inf
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 10])
+    def test_gmerf_ci_at_the_largest_level_below_one(self, n):
+        # 0.5 + level / 2 rounds to 1.0: the interval is (0, inf), as it
+        # was with scipy.special.stdtrit.
+        level = math.nextafter(1.0, 0.0)
+        comp = np.arange(1.0, n + 1.0)
+        assert gmerf_ci(comp, np.ones(n), level) == (0.0, math.inf)
+
+    @settings(derandomize=True, database=None, max_examples=200)
+    @given(st.integers(1, 20), st.floats(0.0, 200.0), st.floats(0.0, 200.0))
+    def test_chi2_sf_decreases_in_x(self, df, a, b):
+        lo, hi = sorted((a, b))
+        assert _chi2_sf(df, lo) >= _chi2_sf(df, hi)
+
+    @settings(derandomize=True, database=None, max_examples=200)
+    @given(st.integers(1, 200), st.floats(0.5, 1.0 - 1e-9),
+           st.floats(0.5, 1.0 - 1e-9))
+    def test_t_quantile_increases_in_q(self, df, a, b):
+        lo, hi = sorted((a, b))
+        assert _t_quantile(df, lo) <= _t_quantile(df, hi)
+
+    @settings(derandomize=True, database=None, max_examples=200)
+    @given(st.integers(1, 200), st.integers(1, 200), st.floats(0.5, 1.0 - 1e-9))
+    def test_t_quantile_decreases_in_df(self, a, b, q):
+        lo, hi = sorted((a, b))
+        assert _t_quantile(lo, q) >= _t_quantile(hi, q)
