@@ -1,10 +1,13 @@
+import dataclasses
 import hashlib
 import json
+import tempfile
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import quasar_opt.cli as cli
 import quasar_opt.de as de_mod
@@ -22,7 +25,9 @@ from quasar_opt import (
     run_plan,
 )
 from quasar_opt.cli import main as cli_main
-from quasar_opt.harness import CSV_HEADER, derive_seed, load_records
+from quasar_opt.benchmarks import BASE_FUNCTIONS
+from quasar_opt.harness import (ALGORITHMS, CSV_HEADER, TrialRecord,
+                                derive_seed, load_records)
 from quasar_opt.stats import SummaryTable
 
 TINY = dict(dims=[5], pop_sizes=[20], g_max=5, trials=3,
@@ -77,6 +82,18 @@ class TestDeriveSeed:
     def test_64_bit_range(self):
         s = derive_seed(0, "de", "levy", 50, 1000, 29)
         assert 0 <= s < 2 ** 64
+
+    # Seeds are the resume key of records.csv: a change here orphans every
+    # existing file, so the values are pinned.
+    @pytest.mark.parametrize("coords, seed", [
+        ((42, "quasar", "sphere", 10, 100, 0), 7551343090872066021),
+        ((42, "de", "rastrigin", 30, 300, 9), 8916577333730638963),
+        ((0, "quasar", "ackley", 2, 5, 0), 4829345620556442818),
+        ((7, "de", "levy", 100, 1000, 29), 7116412333038652244),
+        ((2**63, "quasar", "bent_cigar", 50, 60, 3), 13878759456983874394),
+    ])
+    def test_pinned(self, coords, seed):
+        assert derive_seed(*coords) == seed
 
 
 class TestPlan:
@@ -429,6 +446,39 @@ def synthetic_rows(errors_by_algo, functions=("f1", "f2"), dim=10, pop=50):
             for t, e in enumerate(errs[fi]):
                 rows.append(f"{algo},{fn},{dim},{pop},5,{t},1,{e!r},0.5,100")
     return rows
+
+
+EDGE_ERRORS = [float("nan"), float("inf"), float("-inf"), -0.0, 0.0,
+               5e-324, 2.2250738585072014e-308 / 3, 0.1, 1 / 3, 1e308]
+
+trial_records = st.builds(
+    TrialRecord,
+    algo=st.sampled_from(ALGORITHMS),
+    function=st.sampled_from(sorted(BASE_FUNCTIONS)),
+    dim=st.integers(2, 10**4), pop=st.integers(4, 10**5),
+    gmax=st.integers(0, 10**6), trial=st.integers(0, 10**4),
+    seed=st.integers(0, 2**64 - 1),
+    final_error=st.one_of(st.sampled_from(EDGE_ERRORS), st.floats()),
+    runtime_sec=st.floats(0.0, 1e6), evals=st.integers(0, 10**9))
+
+
+class TestRecordsCsv:
+    @settings(derandomize=True, database=None, max_examples=200)
+    @given(st.lists(trial_records, min_size=1, max_size=5))
+    def test_csv_row_round_trip(self, records):
+        # final_error is written with repr, so it must come back bit for
+        # bit (NaN, signed zero, subnormals); runtime_sec keeps 6 decimals.
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "records.csv"
+            write_records(path, [r.csv_row() for r in records])
+            loaded = load_records(path)
+        assert len(loaded) == len(records)
+        for got, want in zip(loaded, records):
+            assert repr(got.final_error) == repr(want.final_error)
+            assert got.runtime_sec == float(f"{want.runtime_sec:.6f}")
+            assert (dataclasses.replace(got, final_error=0.0, runtime_sec=0.0)
+                    == dataclasses.replace(want, final_error=0.0,
+                                           runtime_sec=0.0))
 
 
 class TestEmitSummary:

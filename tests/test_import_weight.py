@@ -1,10 +1,12 @@
 """Import weight of the package.
 
-No code path loads any scipy module: not the optimizers, not the summary
-statistics, not a CLI run followed by a summarize. numpy is the only
-run-time dependency; scipy is read from disk only for the Joe-Kuo Sobol
-direction-number file. Importing scipy.special would cost ~20-26 MB and
-~0.3 s, and scipy.stats ~45 MB and ~1.5 s more.
+numpy is the only run-time dependency. Each script runs in a fresh
+interpreter where every scipy import and every find_spec lookup of scipy
+fails, and checks that no code path needs scipy or loads any scipy module:
+not the optimizers with Sobol init, not sobol_sample at SOBOL_MAX_DIM, not
+the summary statistics, not a CLI run followed by a summarize. Importing
+scipy.special would cost ~20-26 MB and ~0.3 s, and scipy.stats ~45 MB and
+~1.5 s more.
 """
 
 import os
@@ -14,17 +16,43 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
+# Prepended to every script: a meta-path finder that refuses scipy.
+BLOCK_SCIPY = """
+import importlib.util
+import sys
+
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ModuleNotFoundError(f"{name} is blocked", name=name)
+        return None
+
+
+sys.meta_path.insert(0, BlockScipy())
+try:
+    importlib.util.find_spec("scipy")
+except ModuleNotFoundError:
+    pass
+else:
+    raise AssertionError("scipy is not blocked")
+"""
+
 OPTIMIZE = """
 import sys
 import quasar_opt
-from quasar_opt import (DeConfig, InitMethod, QuasarConfig, de_optimize,
-                        make_suite, optimize)
+from quasar_opt import (BoundsBox, DeConfig, InitMethod, QuasarConfig,
+                        de_optimize, make_suite, optimize, sobol_sample)
+from quasar_opt.sampling import SOBOL_MAX_DIM
 
 fn = make_suite(5, 1)[4]
 for run, cfg in ((optimize, QuasarConfig), (de_optimize, DeConfig)):
     result = run(fn, fn.bounds, cfg(pop_size=20, g_max=3,
                                     init_method=InitMethod.SOBOL))
     assert result.eval_count == 80
+wide = sobol_sample(3, BoundsBox.cube(0.0, 1.0, SOBOL_MAX_DIM))
+assert wide.shape == (3, SOBOL_MAX_DIM)
+assert (wide[0] == 0.5).all()
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 assert not loaded, loaded
 """
@@ -69,8 +97,8 @@ assert not loaded, loaded
 
 def run_fresh(script):
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    done = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
+    done = subprocess.run([sys.executable, "-c", BLOCK_SCIPY + script],
+                          env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
 
 

@@ -1,14 +1,21 @@
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.stats import qmc
 
+import quasar_opt.sampling as sampling
 from quasar_opt import BoundsBox, InitMethod, RngStream, lhs_sample, sobol_sample, uniform_sample
 from quasar_opt.sampling import (
     SOBOL_MAX_DIM,
     _digital_shift,
     _direction_numbers,
+    _joe_kuo,
     initial_population,
 )
+
+JOE_KUO_SHA256 = "4288084eaa2087d8357d08e491e877f013c47bd8381c37d846ae8bc298c757ed"
 
 
 def gray_radical_inverse(i: int) -> float:
@@ -120,6 +127,17 @@ class TestSobolMatchesScipy:
         # past index 2**18 reach; _sv is the scipy engine's own table.
         engine = qmc.Sobol(d=SOBOL_MAX_DIM, scramble=False)
         assert np.array_equal(_direction_numbers(SOBOL_MAX_DIM).T, engine._sv)
+
+    def test_vendored_table_equals_scipy_file(self):
+        vendored = Path(sampling.__file__).with_name("_joe_kuo.npz")
+        assert hashlib.sha256(vendored.read_bytes()).hexdigest() == JOE_KUO_SHA256
+        scipy_file = Path(qmc.__file__).with_name("_sobol_direction_numbers.npz")
+        poly, vinit = _joe_kuo()
+        with np.load(scipy_file) as table:
+            assert np.array_equal(poly, table["poly"])
+            assert np.array_equal(vinit, table["vinit"])
+        assert poly.dtype == vinit.dtype == np.uint32
+        assert SOBOL_MAX_DIM == len(poly)
 
     def test_bit_exact_scaled(self):
         b = BoundsBox(np.array([-3.0, 10.0, -1e-3]), np.array([-1.0, 20.0, 5.0]))
