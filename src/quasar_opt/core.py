@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import numbers
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -150,6 +152,24 @@ def rank_population(pop: Population) -> np.ndarray:
     ranks = np.empty(order.size, dtype=np.int64)
     ranks[order] = np.arange(order.size)
     return ranks
+
+
+def require_int(name: str, value, low: int) -> None:
+    """Raise ValueError naming the field unless value is an integer (any
+    numbers.Integral but bool) of at least low."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be at least {low}, got {value}")
+
+
+def require_real(name: str, value, positive: bool = True) -> None:
+    """Raise ValueError naming the field unless value is a finite real
+    number (not a bool), and above 0 when positive."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value) or (positive and value <= 0)):
+        kind = "finite positive" if positive else "finite"
+        raise ValueError(f"{name} must be a {kind} number, got {value!r}")
 
 
 def require_finite(values: np.ndarray, generation: int, indices) -> None:

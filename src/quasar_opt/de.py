@@ -17,6 +17,8 @@ from .core import (
     clip_to_bounds,
     evaluate_rows,
     require_finite,
+    require_int,
+    require_real,
     run_generations,
 )
 from .sampling import InitMethod, initial_population, prepare_init
@@ -27,7 +29,9 @@ class DeConfig:
     """Textbook DE/rand/1/bin constants.
 
     pop_size of None resolves to 10 * D; at least 4 members are required so
-    the three donors and the target can be pairwise distinct.
+    the three donors and the target can be pairwise distinct. f_weight must
+    be finite, cr in [0, 1], and pop_size, g_max and seed integers. A bad
+    value raises ValueError naming the field.
     """
 
     f_weight: float = 0.5
@@ -38,12 +42,16 @@ class DeConfig:
     init_method: InitMethod = InitMethod.SOBOL
 
     def __post_init__(self):
+        require_real("f_weight", self.f_weight, positive=False)
         if not 0.0 <= self.cr <= 1.0:
             raise ValueError(f"cr must be in [0, 1], got {self.cr}")
-        if self.pop_size is not None and self.pop_size < 4:
-            raise ValueError("pop_size must be at least 4")
-        if self.g_max < 0:
-            raise ValueError("g_max must be nonnegative")
+        if self.pop_size is not None:
+            require_int("pop_size", self.pop_size, 4)
+        require_int("g_max", self.g_max, 0)
+        require_int("seed", self.seed, 0)
+        if not isinstance(self.init_method, InitMethod):
+            raise ValueError(
+                f"init_method must be an InitMethod, got {self.init_method!r}")
 
     def resolved_pop_size(self, dim: int) -> int:
         n = 10 * dim if self.pop_size is None else self.pop_size

@@ -18,7 +18,6 @@ import csv
 import hashlib
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from functools import lru_cache
@@ -241,6 +240,15 @@ def _drop_torn_row(records_path: Path) -> int:
     return kept
 
 
+def _pool(workers: int):
+    """A process pool of `workers`, or a null context (None) for one; the
+    pool's modules are imported only when a pool opens."""
+    if workers < 2:
+        return nullcontext()
+    from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor(max_workers=workers)
+
+
 def run_plan(plan: ExperimentPlan, out_dir) -> SummaryTable:
     """Run every trial of the plan, append records, then summarize.
 
@@ -296,9 +304,7 @@ def run_plan(plan: ExperimentPlan, out_dir) -> SummaryTable:
     # A pool forks all its workers at the first submit, so never start more
     # workers than there are jobs.
     workers = min(workers, len(jobs))
-    with (open(records_path, "a") as fh,
-          ProcessPoolExecutor(max_workers=workers) if workers > 1
-          else nullcontext() as pool):
+    with open(records_path, "a") as fh, _pool(workers) as pool:
         # Either map yields in submission order, which is canonical order.
         # Neither takes zero iterables, so a finished plan maps nothing.
         records = (pool.map if pool else map)(run_trial, *zip(*jobs)) \
@@ -360,6 +366,17 @@ def _paired_p(x: np.ndarray, y: np.ndarray) -> Optional[float]:
     return wilcoxon_signed_rank(x, y)[1]
 
 
+def _median(values: np.ndarray) -> float:
+    """np.median of finite values, bit for bit: the middle one or two sorted
+    values, summed onto 0.0 (so a zero median is +0.0) and averaged.
+    np.median itself imports numpy.ma."""
+    s = np.sort(values)
+    h = s.size // 2
+    if s.size % 2:
+        return 0.0 + float(s[h])
+    return (0.0 + float(s[h - 1]) + float(s[h])) / 2
+
+
 def summarize_records(records: List[TrialRecord]) -> SummaryTable:
     """Aggregate records into the full SummaryTable.
 
@@ -412,7 +429,7 @@ def summarize_records(records: List[TrialRecord]) -> SummaryTable:
     full = [err for _, err, _ in aligned if len(err) == len(algorithms)]
     if len(algorithms) >= 2 and full:
         fr = friedman_rank_sums(
-            [[np.median(err[a]) for a in algorithms] for err in full])
+            [[_median(err[a]) for a in algorithms] for err in full])
         table.rank_sums = {a: float(s) for a, s in zip(algorithms, fr.rank_sums)}
         table.friedman_statistic, table.friedman_p = fr.statistic, fr.p_value
 

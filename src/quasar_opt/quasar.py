@@ -26,6 +26,8 @@ from .core import (
     fitness_order,
     rank_population,  # unused here; bench/layers.py traces this name
     require_finite,
+    require_int,
+    require_real,
     run_generations,
 )
 from .sampling import InitMethod, initial_population, prepare_init
@@ -48,8 +50,10 @@ class QuasarConfig:
     """All QUASAR constants.
 
     pop_size of None resolves to 10 * D at optimize time. Probabilities and
-    fractions must lie in (0, 1]; pop_size must be at least 5 so mutation can
-    draw distinct indices.
+    fractions must lie in (0, 1]; noise_divisor and epsilon_jitter must be
+    finite and positive; pop_size must be an integer of at least 5 so
+    mutation can draw distinct indices; g_max and seed are nonnegative
+    integers. A bad value raises ValueError naming the field.
     """
 
     entangle_rate: float = 0.33
@@ -71,14 +75,15 @@ class QuasarConfig:
             v = getattr(self, name)
             if not 0.0 < v <= 1.0:
                 raise ValueError(f"{name} must be in (0, 1], got {v}")
-        if self.noise_divisor <= 0:
-            raise ValueError("noise_divisor must be positive")
-        if self.epsilon_jitter <= 0:
-            raise ValueError("epsilon_jitter must be positive")
-        if self.pop_size is not None and self.pop_size < 5:
-            raise ValueError("pop_size must be at least 5")
-        if self.g_max < 0:
-            raise ValueError("g_max must be nonnegative")
+        require_real("noise_divisor", self.noise_divisor)
+        require_real("epsilon_jitter", self.epsilon_jitter)
+        if self.pop_size is not None:
+            require_int("pop_size", self.pop_size, 5)
+        require_int("g_max", self.g_max, 0)
+        require_int("seed", self.seed, 0)
+        if not isinstance(self.init_method, InitMethod):
+            raise ValueError(
+                f"init_method must be an InitMethod, got {self.init_method!r}")
 
     def resolved_pop_size(self, dim: int) -> int:
         n = 10 * dim if self.pop_size is None else self.pop_size

@@ -105,6 +105,24 @@ class TestDeOptimize:
         with pytest.raises(ValueError):
             DeConfig(cr=1.5)
 
+    # Each of these used to pass validation and fail later, inside
+    # sobol_sample, run_generations or SeedSequence, or as a "non-finite
+    # objective value" at generation 0.
+    @pytest.mark.parametrize("field,value", [
+        ("pop_size", 20.0), ("pop_size", 20.5), ("g_max", 3.0),
+        ("g_max", True), ("seed", -1), ("f_weight", float("nan")),
+        ("f_weight", float("inf")), ("init_method", "uniform"),
+    ])
+    def test_bad_value_named_up_front(self, field, value):
+        with pytest.raises(ValueError, match=rf"^{field} must be"):
+            DeConfig(**{field: value})
+
+    def test_numpy_integers_accepted(self):
+        cfg = DeConfig(pop_size=np.int64(12), g_max=np.int32(3),
+                       seed=np.uint64(2**64 - 1))
+        result = de_optimize(sphere_objective(2), BoundsBox.cube(-1, 1, 2), cfg)
+        assert result.eval_count == 48
+
     def test_zero_generations(self):
         bounds = BoundsBox.cube(-8.0, 8.0, 3)
         obj = sphere_objective(3)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import hashlib
 import json
@@ -60,7 +61,7 @@ def inline_pool(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     return created
 
 
@@ -397,10 +398,9 @@ class TestSamplerWarmUp:
         a run's clock, in the order they happen."""
         events = []
         real_load = sampling._joe_kuo
-        real_load.cache_clear()
         sampling._direction_numbers.cache_clear()
         monkeypatch.setattr(sampling, "_joe_kuo",
-                            lambda: events.append("load") or real_load())
+                            lambda d: events.append("load") or real_load(d))
         for mod in (quasar_mod, de_mod):
             clock = mod.time.perf_counter
             monkeypatch.setattr(mod, "time", SimpleNamespace(
@@ -479,6 +479,28 @@ class TestRecordsCsv:
             assert (dataclasses.replace(got, final_error=0.0, runtime_sec=0.0)
                     == dataclasses.replace(want, final_error=0.0,
                                            runtime_sec=0.0))
+
+
+# Finite doubles: signed zeros, subnormals and magnitudes up to 1e300.
+finite_floats = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
+                     1e300, -1e300]),
+    st.floats(-1e300, 1e300, allow_subnormal=True))
+
+
+class TestMedian:
+    @settings(derandomize=True, database=None, max_examples=500)
+    @given(st.one_of(
+        st.lists(finite_floats, min_size=1, max_size=60),
+        # Few distinct values, so most lists are full of duplicates.
+        st.lists(finite_floats, min_size=1, max_size=4).flatmap(
+            lambda pool: st.lists(st.sampled_from(pool), min_size=1,
+                                  max_size=60))))
+    def test_equals_np_median(self, values):
+        values = np.array(values)
+        got = harness._median(values)
+        assert type(got) is float
+        assert repr(got) == repr(float(np.median(values)))
 
 
 class TestEmitSummary:

@@ -7,6 +7,11 @@ not the optimizers with Sobol init, not sobol_sample at SOBOL_MAX_DIM, not
 the summary statistics, not a CLI run followed by a summarize. Importing
 scipy.special would cost ~20-26 MB and ~0.3 s, and scipy.stats ~45 MB and
 ~1.5 s more.
+
+A serial run also loads only what it uses: no process-pool modules
+(concurrent.futures, multiprocessing: 32 modules, ~1.3 MB), no numpy.ma
+(~0.6 MB), and only the rows of the Sobol table its dimension needs (the
+whole table costs ~2.3 MB of peak RSS).
 """
 
 import os
@@ -95,6 +100,48 @@ assert not loaded, loaded
 """
 
 
+SERIAL = """
+import os
+import resource
+import sys
+import tempfile
+import numpy as np
+from quasar_opt import (DeConfig, InitMethod, QuasarConfig, cli, de_optimize,
+                        make_suite, optimize, sampling)
+
+
+def peak_mb():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
+# Run the recurrence once on a stand-in table first: the numpy code it
+# touches for the first time (~0.6 MB of library pages) is not table data.
+real_table = sampling._joe_kuo
+sampling._joe_kuo = lambda *d: (np.arange(1, 101, dtype=np.uint32),
+                                np.ones((100, 18), dtype=np.uint32))
+sampling._direction_numbers.__wrapped__(100)
+sampling._joe_kuo = real_table
+before = peak_mb()
+sampling.prepare_init(InitMethod.SOBOL, 100)
+grown = peak_mb() - before
+assert grown <= 0.5, f"prepare_init(SOBOL, 100) added {grown:.2f} MB"
+
+fn = make_suite(5, 1)[4]
+for run, cfg in ((optimize, QuasarConfig), (de_optimize, DeConfig)):
+    assert run(fn, fn.bounds, cfg(pop_size=20, g_max=3)).eval_count == 80
+os.environ["QUASAR_WORKERS"] = "1"
+with tempfile.TemporaryDirectory() as out:
+    assert cli.main(["run", "--dims", "5", "--pops", "20", "--gmax", "2",
+                     "--trials", "5", "--functions", "sphere,rastrigin",
+                     "--algos", "quasar,de", "--out", out]) == 0
+    assert cli.main(["summarize", "--in", out]) == 0
+loaded = sorted(m for m in sys.modules
+                if m.split(".")[0] in ("concurrent", "multiprocessing")
+                or m == "numpy.ma" or m.startswith("numpy.ma."))
+assert not loaded, loaded
+"""
+
+
 def run_fresh(script):
     env = dict(os.environ, PYTHONPATH=str(SRC))
     done = subprocess.run([sys.executable, "-c", BLOCK_SCIPY + script],
@@ -112,3 +159,7 @@ def test_summary_leaves_scipy_unimported():
 
 def test_cli_run_and_summarize_leave_scipy_unimported():
     run_fresh(CLI)
+
+
+def test_serial_run_loads_only_what_it_uses():
+    run_fresh(SERIAL)

@@ -8,6 +8,7 @@ from quasar_opt import (
     QuasarConfig,
     RngStream,
     compute_elite_stats,
+    optimize,
     reinit_probability,
     sample_reinit_positions,
 )
@@ -293,3 +294,23 @@ class TestQuasarConfig:
     def test_rejects_tiny_population(self):
         with pytest.raises(ValueError):
             QuasarConfig(pop_size=4)
+
+    # Each of these used to pass validation and fail later, inside
+    # sobol_sample, run_generations or SeedSequence, or as a "non-finite
+    # objective value" at generation 0.
+    @pytest.mark.parametrize("field,value", [
+        ("pop_size", 20.5), ("pop_size", 20.0), ("g_max", 3.0),
+        ("g_max", True), ("seed", -1), ("seed", 1.0),
+        ("noise_divisor", float("nan")), ("noise_divisor", float("inf")),
+        ("epsilon_jitter", float("nan")), ("epsilon_jitter", float("inf")),
+        ("init_method", "sobol"),
+    ])
+    def test_bad_value_named_up_front(self, field, value):
+        with pytest.raises(ValueError, match=rf"^{field} must be"):
+            QuasarConfig(**{field: value})
+
+    def test_numpy_integers_accepted(self):
+        cfg = QuasarConfig(pop_size=np.int64(12), g_max=np.int32(3),
+                           seed=np.uint64(2**64 - 1))
+        result = optimize(lambda x: float(x @ x), BoundsBox.cube(-1, 1, 2), cfg)
+        assert result.eval_count == 48
