@@ -1,7 +1,7 @@
 """quasar_opt: the QUASAR evolutionary optimizer, a DE baseline, a
 shifted/rotated benchmark suite, comparison statistics and an experiment
 harness. NumPy is the only install dependency and the only library loaded
-at run time; the Joe-Kuo Sobol direction numbers ship as _joe_kuo.npz.
+at run time; the Joe-Kuo Sobol direction numbers ship as _joe_kuo.npy.
 
 The names below are the public API, as listed in the README's "Public API"
 section. Everything else in the submodules is internal and may change."""

@@ -1,4 +1,5 @@
-"""Shared domain types: bounds, populations, objectives, RNG streams, results."""
+"""Shared domain types: bounds, populations, objectives, run settings, RNG
+streams, results."""
 
 from __future__ import annotations
 
@@ -6,7 +7,8 @@ import math
 import numbers
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional
+from enum import Enum
+from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
@@ -154,12 +156,12 @@ def rank_population(pop: Population) -> np.ndarray:
     return ranks
 
 
-def require_int(name: str, value, low: int) -> None:
+def require_int(name: str, value, low: Optional[int] = None) -> None:
     """Raise ValueError naming the field unless value is an integer (any
-    numbers.Integral but bool) of at least low."""
+    numbers.Integral but bool) of at least low, when low is given."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < low:
+    if low is not None and value < low:
         raise ValueError(f"{name} must be at least {low}, got {value}")
 
 
@@ -182,6 +184,41 @@ def require_finite(values: np.ndarray, generation: int, indices) -> None:
         f"objective returned a non-finite value ({values[k]}) at "
         f"generation {generation} for individual {int(indices[k])}"
     )
+
+
+class InitMethod(Enum):
+    SOBOL = "sobol"
+    LATIN_HYPERCUBE = "lhs"
+    UNIFORM_RANDOM = "uniform"
+
+
+@dataclass(kw_only=True)
+class RunConfig:
+    """The run settings both optimizers share, keyword-only.
+
+    pop_size of None resolves to 10 * D at run time; otherwise it must be an
+    integer of at least MIN_POP. g_max and seed are nonnegative integers and
+    init_method an InitMethod. A bad value raises ValueError naming the
+    field."""
+
+    MIN_POP: ClassVar[int] = 1
+
+    pop_size: Optional[int] = None
+    g_max: int = 100
+    seed: int = 0
+    init_method: InitMethod = InitMethod.SOBOL
+
+    def __post_init__(self):
+        if self.pop_size is not None:
+            require_int("pop_size", self.pop_size, self.MIN_POP)
+        require_int("g_max", self.g_max, 0)
+        require_int("seed", self.seed, 0)
+        if not isinstance(self.init_method, InitMethod):
+            raise ValueError(
+                f"init_method must be an InitMethod, got {self.init_method!r}")
+
+    def resolved_pop_size(self, dim: int) -> int:
+        return 10 * dim if self.pop_size is None else self.pop_size
 
 
 def best_of(pop: Population):
@@ -249,11 +286,15 @@ class OptResult:
     eval_count: int
 
 
-def run_generations(objective, pop: Population, g_max: int, t0: float,
+def run_generations(objective, positions: np.ndarray, fitness: np.ndarray,
+                    g_max: int, t0: float,
                     advance: Callable[[Population], Population]) -> OptResult:
-    """Apply advance() g_max times to the initial population, tracking the
-    best-so-far point and trace, and package the result; the runtime counts
-    from the perf_counter reading t0."""
+    """Check the evaluated initial rows, then apply advance() g_max times to
+    their population, tracking the best-so-far point and trace, and package
+    the result; the runtime counts from the perf_counter reading t0."""
+    n = fitness.size
+    require_finite(fitness, 0, range(n))
+    pop = Population(positions, fitness, generation=0, eval_count=n)
     _, best_pos, best_fit = best_of(pop)
     trace = np.empty(g_max + 1)
     trace[0] = best_fit

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -13,51 +13,36 @@ from .core import (
     OptResult,
     Population,
     RngStream,
+    RunConfig,
     check_objective,
     clip_to_bounds,
     evaluate_rows,
     require_finite,
-    require_int,
     require_real,
     run_generations,
 )
-from .sampling import InitMethod, initial_population, prepare_init
+from .sampling import initial_population, prepare_init
 
 
 @dataclass
-class DeConfig:
-    """Textbook DE/rand/1/bin constants.
+class DeConfig(RunConfig):
+    """Textbook DE/rand/1/bin constants, plus the shared RunConfig fields.
 
-    pop_size of None resolves to 10 * D; at least 4 members are required so
-    the three donors and the target can be pairwise distinct. f_weight must
-    be finite, cr in [0, 1], and pop_size, g_max and seed integers. A bad
+    At least 4 members are required so the three donors and the target can
+    be pairwise distinct. f_weight must be finite and cr in [0, 1]. A bad
     value raises ValueError naming the field.
     """
 
+    MIN_POP: ClassVar[int] = 4
+
     f_weight: float = 0.5
     cr: float = 0.9
-    pop_size: Optional[int] = None
-    g_max: int = 100
-    seed: int = 0
-    init_method: InitMethod = InitMethod.SOBOL
 
     def __post_init__(self):
         require_real("f_weight", self.f_weight, positive=False)
         if not 0.0 <= self.cr <= 1.0:
             raise ValueError(f"cr must be in [0, 1], got {self.cr}")
-        if self.pop_size is not None:
-            require_int("pop_size", self.pop_size, 4)
-        require_int("g_max", self.g_max, 0)
-        require_int("seed", self.seed, 0)
-        if not isinstance(self.init_method, InitMethod):
-            raise ValueError(
-                f"init_method must be an InitMethod, got {self.init_method!r}")
-
-    def resolved_pop_size(self, dim: int) -> int:
-        n = 10 * dim if self.pop_size is None else self.pop_size
-        if n < 4:
-            raise ValueError("pop_size must be at least 4")
-        return n
+        super().__post_init__()
 
 
 def _distinct_donors(rng: RngStream, n: int):
@@ -120,9 +105,6 @@ def de_optimize(f, bounds: BoundsBox, cfg: Optional[DeConfig] = None) -> OptResu
 
     t0 = time.perf_counter()
     positions = initial_population(cfg.init_method, n, bounds, rng)
-    fitness = evaluate_rows(f, positions)
-    require_finite(fitness, 0, range(n))
-    pop = Population(positions, fitness, generation=0, eval_count=n)
-
-    return run_generations(f, pop, cfg.g_max, t0,
+    return run_generations(f, positions, evaluate_rows(f, positions),
+                           cfg.g_max, t0,
                            lambda p: _de_step(f, bounds, p, cfg, rng))

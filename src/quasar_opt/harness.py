@@ -29,6 +29,7 @@ import numpy as np
 from . import de as de_mod
 from . import quasar as quasar_mod
 from .benchmarks import BASE_FUNCTIONS, make_suite
+from .core import require_int
 from .de import DeConfig
 from .quasar import QuasarConfig
 from .stats import (
@@ -104,14 +105,16 @@ class ExperimentPlan:
     def __post_init__(self):
         if self.mode not in ("dim", "sample", "custom"):
             raise ValueError(f"unknown mode: {self.mode!r}")
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
+        require_int("g_max", self.g_max, 0)
+        require_int("trials", self.trials, 1)
+        require_int("master_seed", self.master_seed)
+        require_int("suite_seed", self.suite_seed, 0)
         if not self.dims or not self.pop_sizes:
             raise ValueError("dims and pop_sizes must be nonempty")
+        for dim in self.dims:
+            require_int("dims", dim)
         if min(self.dims) < 2:
             raise ValueError("suite functions need dimension >= 2")
-        if self.g_max < 0:
-            raise ValueError("g_max must be nonnegative")
         unknown = set(self.algorithms) - set(ALGORITHMS)
         if unknown or not self.algorithms:
             raise ValueError(

@@ -11,7 +11,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -20,17 +20,17 @@ from .core import (
     OptResult,
     Population,
     RngStream,
+    RunConfig,
     check_objective,
     clip_to_bounds,
     evaluate_rows,
     fitness_order,
     rank_population,  # unused here; bench/layers.py traces this name
     require_finite,
-    require_int,
     require_real,
     run_generations,
 )
-from .sampling import InitMethod, initial_population, prepare_init
+from .sampling import initial_population, prepare_init
 
 # Factor distributions: local exploitation N(0, 0.33^2); global exploration
 # is an equal-weight mixture of N(+0.5, 0.25^2) and N(-0.5, 0.25^2).
@@ -46,15 +46,16 @@ class MutationStrategy(IntEnum):
 
 
 @dataclass
-class QuasarConfig:
-    """All QUASAR constants.
+class QuasarConfig(RunConfig):
+    """All QUASAR constants, plus the shared RunConfig fields.
 
-    pop_size of None resolves to 10 * D at optimize time. Probabilities and
-    fractions must lie in (0, 1]; noise_divisor and epsilon_jitter must be
-    finite and positive; pop_size must be an integer of at least 5 so
-    mutation can draw distinct indices; g_max and seed are nonnegative
-    integers. A bad value raises ValueError naming the field.
+    Probabilities and fractions must lie in (0, 1]; noise_divisor and
+    epsilon_jitter must be finite and positive; pop_size must be at least 5
+    so mutation can draw distinct indices. A bad value raises ValueError
+    naming the field.
     """
+
+    MIN_POP: ClassVar[int] = 5
 
     entangle_rate: float = 0.33
     cr_floor: float = 0.33
@@ -64,10 +65,6 @@ class QuasarConfig:
     elite_fraction: float = 0.25
     noise_divisor: float = 20.0
     epsilon_jitter: float = 1e-12
-    pop_size: Optional[int] = None
-    g_max: int = 100
-    seed: int = 0
-    init_method: InitMethod = InitMethod.SOBOL
 
     def __post_init__(self):
         for name in ("entangle_rate", "cr_floor", "p_final", "g_final",
@@ -77,19 +74,7 @@ class QuasarConfig:
                 raise ValueError(f"{name} must be in (0, 1], got {v}")
         require_real("noise_divisor", self.noise_divisor)
         require_real("epsilon_jitter", self.epsilon_jitter)
-        if self.pop_size is not None:
-            require_int("pop_size", self.pop_size, 5)
-        require_int("g_max", self.g_max, 0)
-        require_int("seed", self.seed, 0)
-        if not isinstance(self.init_method, InitMethod):
-            raise ValueError(
-                f"init_method must be an InitMethod, got {self.init_method!r}")
-
-    def resolved_pop_size(self, dim: int) -> int:
-        n = 10 * dim if self.pop_size is None else self.pop_size
-        if n < 5:
-            raise ValueError("pop_size must be at least 5")
-        return n
+        super().__post_init__()
 
 
 @dataclass(frozen=True)
@@ -360,10 +345,7 @@ def optimize(f, bounds: BoundsBox, cfg: Optional[QuasarConfig] = None) -> OptRes
 
     t0 = time.perf_counter()
     positions = initial_population(cfg.init_method, n, bounds, rng)
-    fitness = evaluate_rows(f, positions)
-    require_finite(fitness, 0, range(n))
-    pop = Population(positions, fitness, generation=0, eval_count=n)
-
     # `step` is looked up at call time, so it can be wrapped or replaced.
-    return run_generations(f, pop, cfg.g_max, t0,
+    return run_generations(f, positions, evaluate_rows(f, positions),
+                           cfg.g_max, t0,
                            lambda p: step(f, bounds, p, cfg, rng)[0])

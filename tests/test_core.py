@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,6 +15,7 @@ from quasar_opt import (
     optimize,
 )
 from quasar_opt.core import (
+    RunConfig,
     best_of,
     clip_to_bounds,
     evaluate_rows,
@@ -226,3 +229,51 @@ class TestObjectiveContract:
         obj = SimpleNamespace(dim=5, evaluate=square_sum)
         with pytest.raises(ValueError, match="objective dim 5 != bounds dim 4"):
             run(obj, self.box, config(pop_size=10, g_max=1))
+
+
+SHARED_FIELDS = ("pop_size", "g_max", "seed", "init_method")
+OWN_CONSTANTS = {
+    QuasarConfig: ("entangle_rate", "cr_floor", "p_final", "g_final",
+                   "reinit_fraction", "elite_fraction", "noise_divisor",
+                   "epsilon_jitter"),
+    DeConfig: ("f_weight", "cr"),
+}
+
+
+@pytest.mark.parametrize("cls,min_pop", [(QuasarConfig, 5), (DeConfig, 4)])
+class TestRunConfig:
+    def test_shares_the_run_fields(self, cls, min_pop):
+        assert issubclass(cls, RunConfig)
+        names = [f.name for f in dataclasses.fields(cls)]
+        assert sorted(names) == sorted(SHARED_FIELDS + OWN_CONSTANTS[cls])
+
+    def test_default_pop_is_ten_per_dimension(self, cls, min_pop):
+        assert cls().resolved_pop_size(1) == 10
+        assert cls().resolved_pop_size(7) == 70
+        assert cls(pop_size=12).resolved_pop_size(7) == 12
+
+    def test_min_pop_enforced(self, cls, min_pop):
+        assert cls.MIN_POP == min_pop
+        assert cls(pop_size=min_pop).resolved_pop_size(3) == min_pop
+        with pytest.raises(ValueError, match=rf"^pop_size must be at least "
+                                             rf"{min_pop}, got {min_pop - 1}$"):
+            cls(pop_size=min_pop - 1)
+
+    def test_own_constants_positional_in_order(self, cls, min_pop):
+        params = inspect.signature(cls).parameters.values()
+        positional = [p.name for p in params
+                      if p.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD]
+        assert tuple(positional) == OWN_CONSTANTS[cls]
+
+    def test_shared_fields_keyword_only(self, cls, min_pop):
+        params = inspect.signature(cls).parameters
+        for name in SHARED_FIELDS:
+            assert params[name].kind is inspect.Parameter.KEYWORD_ONLY
+        n_own = len(OWN_CONSTANTS[cls])
+        with pytest.raises(TypeError):
+            cls(*[0.5] * n_own, 20)
+
+
+def test_first_positional_constant():
+    assert QuasarConfig(0.5).entangle_rate == 0.5
+    assert DeConfig(0.7).f_weight == 0.7

@@ -133,6 +133,24 @@ class TestPlan:
         # Only the pops the plan runs count: mode "dim" runs the first.
         ExperimentPlan(mode="dim", dims=[5], pop_sizes=[20, 3])
 
+    # Each of these used to pass validation: a float g_max wrote unloadable
+    # rows, float trials or dims raised TypeError mid-run, and a float or
+    # negative suite_seed ran another suite than plan.json records.
+    @pytest.mark.parametrize("field,value", [
+        ("g_max", 2.0), ("g_max", True), ("trials", 2.0), ("dims", (5.0,)),
+        ("suite_seed", 1.5), ("suite_seed", -1),
+    ])
+    def test_integer_fields_named_up_front(self, field, value):
+        with pytest.raises(ValueError, match=rf"^{field} must be"):
+            ExperimentPlan(**dict(TINY, **{field: value}))
+
+    def test_negative_master_seed_runs(self, tmp_path):
+        plan = ExperimentPlan(**dict(TINY, master_seed=-5, trials=1))
+        run_plan(plan, tmp_path)
+        _, rows = read_rows(tmp_path / "records.csv")
+        assert [int(r[6]) for r in rows] == [
+            derive_seed(-5, algo, "sphere", 5, 20, 0) for algo in ALGORITHMS]
+
 
 class TestRunPlan:
     def test_row_cardinality(self, tmp_path):
@@ -666,6 +684,17 @@ class TestCli:
         assert code == 2
         assert message in capsys.readouterr().err
         assert not (out / "records.csv").exists()
+
+    def test_negative_suite_seed_named_and_leaves_no_plan(self, tmp_path,
+                                                           capsys):
+        out = tmp_path / "z"
+        argv = ["run", "--dims", "5", "--pops", "20", "--trials", "1",
+                "--gmax", "2", "--functions", "sphere", "--out", str(out)]
+        assert cli_main([*argv, "--suite-seed", "-1"]) == 2
+        assert "suite_seed must be at least 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+        # So the corrected plan runs in the same directory.
+        assert cli_main([*argv, "--suite-seed", "2"]) == 0
 
     def test_unknown_function_rejected(self, tmp_path, capsys):
         out = tmp_path / "y"

@@ -1,6 +1,4 @@
 import hashlib
-import io
-import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -14,11 +12,10 @@ from quasar_opt.sampling import (
     _digital_shift,
     _direction_numbers,
     _joe_kuo,
-    _read_rows,
     initial_population,
 )
 
-JOE_KUO_SHA256 = "4ded7f6a23580d63c0bc686207534c47c3cea92fa32112675a7876ad1d16d951"
+JOE_KUO_SHA256 = "1ae561ec93c2b9dd0995b2912a287c3b23857a4f96f306c30d0859d240a4aebc"
 
 
 def gray_radical_inverse(i: int) -> float:
@@ -132,7 +129,7 @@ class TestSobolMatchesScipy:
         assert np.array_equal(_direction_numbers(SOBOL_MAX_DIM).T, engine._sv)
 
     def test_vendored_table_equals_scipy_file(self):
-        vendored = Path(sampling.__file__).with_name("_joe_kuo.npz")
+        vendored = Path(sampling.__file__).with_name("_joe_kuo.npy")
         assert hashlib.sha256(vendored.read_bytes()).hexdigest() == JOE_KUO_SHA256
         scipy_file = Path(qmc.__file__).with_name("_sobol_direction_numbers.npz")
         poly, vinit = _joe_kuo()
@@ -163,7 +160,8 @@ class TestSobolMatchesScipy:
         assert np.array_equal(sobol_sample(8, unit_box(3)), scipy_sobol(8, 3))
 
 
-TABLE = Path(sampling.__file__).with_name("_joe_kuo.npz")
+TABLE = Path(sampling.__file__).with_name("_joe_kuo.npy")
+SCIPY_TABLE = Path(qmc.__file__).with_name("_sobol_direction_numbers.npz")
 
 
 def bratley_fox(d):
@@ -171,9 +169,8 @@ def bratley_fox(d):
     reads it, by the textbook recurrence on the integers m_j, one
     polynomial degree s at a time:
     m_j = m_{j-s} ^ (m_{j-s} << s) ^ XOR_{k<s} a_k (m_{j-k} << k)."""
-    with np.load(TABLE) as table:
-        poly = table["poly"][:d].astype(np.int64)
-        vinit = table["vinit"][:d].astype(np.int64)
+    table = np.load(TABLE)[:d].astype(np.int64)
+    poly, vinit = table[:, 0], table[:, 1:]
     deg = np.array([int(p).bit_length() - 1 for p in poly])
     m = np.ones((d, 30), dtype=np.int64)     # dimension 0 stays all ones
     for s in set(deg[1:].tolist()):
@@ -189,55 +186,28 @@ def bratley_fox(d):
     return (m << (29 - np.arange(30))).T.astype(np.uint32)
 
 
-def npz_with(tmp_path, **arrays):
-    path = tmp_path / "table.npz"
-    np.savez_compressed(path, **arrays)
-    return zipfile.ZipFile(path)
-
-
 class TestJoeKuoReader:
-    """_joe_kuo(d) reads only the first d rows of each member."""
+    """_joe_kuo(d) reads only the first d rows of the table."""
 
     @pytest.mark.parametrize("d", [1, 2, 3, 17, 100, 1111, SOBOL_MAX_DIM])
     def test_direction_numbers_equal_recurrence_on_full_table(self, d):
         assert np.array_equal(_direction_numbers(d), bratley_fox(d))
 
     def test_max_dim_is_header_row_count(self):
-        with zipfile.ZipFile(TABLE) as table:
-            for name in ("poly", "vinit"):
-                with table.open(name + ".npy") as fh:
-                    assert np.lib.format.read_magic(fh) == (1, 0)
-                    shape, fortran_order, dtype = \
-                        np.lib.format.read_array_header_1_0(fh)
-                assert shape[0] == SOBOL_MAX_DIM
-                assert not fortran_order and dtype == np.dtype("<u4")
+        with open(TABLE, "rb") as fh:
+            assert np.lib.format.read_magic(fh) == (1, 0)
+            shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
+        assert shape == (SOBOL_MAX_DIM, 19)
+        assert not fortran_order and dtype == np.dtype("<u4")
 
-    @pytest.mark.parametrize("vinit,message", [
-        (np.asfortranarray(np.ones((SOBOL_MAX_DIM, 18), dtype="<u4")),
-         "fortran_order True"),
-        (np.ones((SOBOL_MAX_DIM, 18), dtype=np.int64), "dtype <i8"),
-        (np.ones((SOBOL_MAX_DIM, 18), dtype=">u4"), "dtype >u4"),
-        (np.ones((100, 18), dtype="<u4"), r"shape \(100, 18\)"),
-    ])
-    def test_refuses_bad_member(self, tmp_path, vinit, message):
-        with npz_with(tmp_path, vinit=vinit) as table:
-            with pytest.raises(ValueError, match=rf"^vinit: need a C-ordered "
-                               rf"<u4 array of {SOBOL_MAX_DIM} rows; .*{message}"):
-                _read_rows(table, "vinit", 5)
-
-    def test_refuses_truncated_member(self, tmp_path):
-        buf = io.BytesIO()
-        np.lib.format.write_array_header_1_0(buf, {
-            "descr": "<u4", "fortran_order": False,
-            "shape": (SOBOL_MAX_DIM, 18)})
-        buf.write(np.ones((3, 18), dtype="<u4").tobytes())
-        path = tmp_path / "table.npz"
-        with zipfile.ZipFile(path, "w") as table:
-            table.writestr("vinit.npy", buf.getvalue())
-        with zipfile.ZipFile(path) as table:
-            assert _read_rows(table, "vinit", 3).shape == (3, 18)
-            with pytest.raises(ValueError, match="vinit: ends before row 4"):
-                _read_rows(table, "vinit", 4)
+    @pytest.mark.parametrize("d", [1, 17, 100, SOBOL_MAX_DIM])
+    def test_prefix_equals_scipy_rows_read_only(self, d):
+        poly, vinit = _joe_kuo(d)
+        with np.load(SCIPY_TABLE) as table:
+            assert np.array_equal(poly, table["poly"][:d])
+            assert np.array_equal(vinit, table["vinit"][:d])
+        assert poly.shape == (d,) and vinit.shape == (d, 18)
+        assert not poly.flags.writeable and not vinit.flags.writeable
 
 
 class TestLhs:

@@ -218,6 +218,13 @@ class TestWilcoxon:
             _, p = wilcoxon_signed_rank(x, y)
             assert 0.0 < p <= 1.0
 
+    def test_all_differences_tied_has_finite_p(self):
+        # One tie group of n removes the most variance ties can: (n^3-n)/48.
+        for n in range(5, 51):
+            d = np.where(np.arange(n) % 3, 2.5, -2.5)
+            statistic, p = wilcoxon_signed_rank(d, np.zeros(n))
+            assert math.isfinite(statistic) and 0.0 < p <= 1.0, n
+
     def test_all_zero_differences_rejected(self):
         x = np.ones(10)
         with pytest.raises(ValueError, match="degenerate"):
