@@ -24,22 +24,18 @@ _SCHWEFEL_C = 418.982887272433706
 
 
 def sphere(z):
-    z = np.asarray(z, dtype=float)
     return np.sum(z * z, axis=-1)
 
 
 def bent_cigar(z):
-    z = np.asarray(z, dtype=float)
     return z[..., 0] ** 2 + 1e6 * np.sum(z[..., 1:] ** 2, axis=-1)
 
 
 def discus(z):
-    z = np.asarray(z, dtype=float)
     return 1e6 * z[..., 0] ** 2 + np.sum(z[..., 1:] ** 2, axis=-1)
 
 
 def rosenbrock(z):
-    z = np.asarray(z, dtype=float)
     a, b = z[..., :-1], z[..., 1:]
     return np.sum(100.0 * (b - a ** 2) ** 2 + (1.0 - a) ** 2, axis=-1)
 
@@ -52,7 +48,6 @@ def _cos_2pi(z):
 
 
 def rastrigin(z):
-    z = np.asarray(z, dtype=float)
     c = _cos_2pi(z)
     c *= 10.0
     t = z * z
@@ -62,7 +57,6 @@ def rastrigin(z):
 
 
 def ackley(z):
-    z = np.asarray(z, dtype=float)
     d = z.shape[-1]
     s1 = np.sqrt(np.sum(z * z, axis=-1) / d)
     s2 = np.sum(_cos_2pi(z), axis=-1) / d
@@ -70,7 +64,6 @@ def ackley(z):
 
 
 def griewank(z):
-    z = np.asarray(z, dtype=float)
     d = z.shape[-1]
     denom = np.sqrt(np.arange(1, d + 1, dtype=float))
     return (np.sum(z * z, axis=-1) / 4000.0
@@ -78,7 +71,6 @@ def griewank(z):
 
 
 def levy(z):
-    z = np.asarray(z, dtype=float)
     w = 1.0 + (z - 1.0) / 4.0
     head = np.sin(np.pi * w[..., 0]) ** 2
     mid = np.sum((w[..., :-1] - 1.0) ** 2
@@ -89,7 +81,6 @@ def levy(z):
 
 
 def zakharov(z):
-    z = np.asarray(z, dtype=float)
     d = z.shape[-1]
     s = np.sum(0.5 * np.arange(1, d + 1) * z, axis=-1)
     return np.sum(z * z, axis=-1) + s ** 2 + s ** 4
@@ -103,7 +94,6 @@ def schwefel226(z):
     penalty keeps the function coercive, so rotation cannot expose deeper
     minima outside the box.
     """
-    z = np.asarray(z, dtype=float)
     t = z + _SCHWEFEL_X
     tc = np.clip(t, -500.0, 500.0)
     core = _SCHWEFEL_C * z.shape[-1] - np.sum(
@@ -163,8 +153,7 @@ class TestFunction:
                 f"got shape {X.shape}"
             )
         base = BASE_FUNCTIONS[self.name][0]
-        return np.asarray(base((X - self.shift) @ self.rotation.T),
-                          dtype=float)
+        return base((X - self.shift) @ self.rotation.T)
 
 
 def random_rotation(dim: int, rng: RngStream) -> np.ndarray:

@@ -64,19 +64,16 @@ class BoundsBox:
         return bool(np.all(p >= self.low) and np.all(p <= self.high))
 
 
-def clip_to_bounds(y: np.ndarray, bounds: BoundsBox,
-                   out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Clamp a position (or a stack of positions) into the box, elementwise.
-
-    The result goes to `out` when given, which may be y itself."""
-    y = np.asarray(y, dtype=float)
+def clip_to_bounds(y: np.ndarray, bounds: BoundsBox) -> np.ndarray:
+    """Clamp a float position (or a stack of positions) into the box,
+    elementwise and in place; returns y."""
     if y.shape[-1] != bounds.dim:
         raise ValueError(
             f"dimension mismatch: position has {y.shape[-1]} components, "
             f"bounds have {bounds.dim}"
         )
-    out = np.maximum(y, bounds.low, out=out)
-    return np.minimum(out, bounds.high, out=out)
+    np.maximum(y, bounds.low, out=y)
+    return np.minimum(y, bounds.high, out=y)
 
 
 def check_objective(f, dim: int) -> None:
@@ -98,7 +95,6 @@ def evaluate_rows(objective, X: np.ndarray) -> np.ndarray:
     The objective must be deterministic and return finite values for
     in-bounds input; an optional `known_optimum` attribute (the true minimum
     value) makes OptResult.error relative to it."""
-    X = np.asarray(X, dtype=float)
     if hasattr(objective, "evaluate_many"):
         return np.asarray(objective.evaluate_many(X), dtype=float)
     call = getattr(objective, "evaluate", objective)
@@ -150,7 +146,7 @@ def fitness_order(fitness: np.ndarray) -> np.ndarray:
 def rank_population(pop: Population) -> np.ndarray:
     """0-based fitness ranks: rank 0 is the best (lowest fitness); ties and
     NaN are handled as in fitness_order."""
-    order = fitness_order(np.asarray(pop.fitness, dtype=float))
+    order = fitness_order(pop.fitness)
     ranks = np.empty(order.size, dtype=np.int64)
     ranks[order] = np.arange(order.size)
     return ranks
@@ -175,8 +171,13 @@ def require_real(name: str, value, positive: bool = True) -> None:
 
 
 def require_finite(values: np.ndarray, generation: int, indices) -> None:
-    """Raise ValueError naming the generation and the individual (indices[k]
-    for values[k]) of the first non-finite objective value."""
+    """Raise ValueError naming the generation unless values holds one value
+    per individual in indices, and naming the individual (indices[k] for
+    values[k]) of the first non-finite value."""
+    if values.shape != (len(indices),):
+        raise ValueError(
+            f"objective returned {values.size} values (shape {values.shape}) "
+            f"for {len(indices)} points at generation {generation}")
     if np.isfinite(values).all():
         return
     k = int(np.argmax(~np.isfinite(values)))
@@ -219,17 +220,6 @@ class RunConfig:
 
     def resolved_pop_size(self, dim: int) -> int:
         return 10 * dim if self.pop_size is None else self.pop_size
-
-
-def best_of(pop: Population):
-    """Index, position (copy) and fitness of the best individual.
-
-    Ties resolve to the lowest index.
-    """
-    if pop.size < 1:
-        raise ValueError("population is empty")
-    idx = int(np.argmin(pop.fitness))
-    return idx, pop.positions[idx].copy(), float(pop.fitness[idx])
 
 
 class RngStream:
@@ -290,21 +280,21 @@ def run_generations(objective, positions: np.ndarray, fitness: np.ndarray,
                     g_max: int, t0: float,
                     advance: Callable[[Population], Population]) -> OptResult:
     """Check the evaluated initial rows, then apply advance() g_max times to
-    their population, tracking the best-so-far point and trace, and package
-    the result; the runtime counts from the perf_counter reading t0."""
-    n = fitness.size
+    their population, tracking the best-so-far point (a copy; ties go to
+    the lowest index) and trace, and package the result; the runtime counts
+    from the perf_counter reading t0."""
+    n = len(positions)
     require_finite(fitness, 0, range(n))
     pop = Population(positions, fitness, generation=0, eval_count=n)
-    _, best_pos, best_fit = best_of(pop)
+    best_fit = math.inf
     trace = np.empty(g_max + 1)
-    trace[0] = best_fit
-    for g in range(g_max):
-        pop = advance(pop)
-        gen_best = float(pop.fitness.min())
-        if gen_best < best_fit:
-            best_fit = gen_best
-            best_pos = pop.positions[int(pop.fitness.argmin())].copy()
-        trace[g + 1] = best_fit
+    for g in range(g_max + 1):
+        if g:
+            pop = advance(pop)
+        i = int(pop.fitness.argmin())
+        if pop.fitness[i] < best_fit:
+            best_fit, best_pos = float(pop.fitness[i]), pop.positions[i].copy()
+        trace[g] = best_fit
     runtime = time.perf_counter() - t0
 
     known = getattr(objective, "known_optimum", None)

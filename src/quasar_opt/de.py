@@ -40,6 +40,7 @@ class DeConfig(RunConfig):
 
     def __post_init__(self):
         require_real("f_weight", self.f_weight, positive=False)
+        require_real("cr", self.cr, positive=False)
         if not 0.0 <= self.cr <= 1.0:
             raise ValueError(f"cr must be in [0, 1], got {self.cr}")
         super().__post_init__()
@@ -75,7 +76,7 @@ def _de_step(objective, bounds: BoundsBox, pop: Population, cfg: DeConfig,
     trials -= x.take(r3, axis=0)
     trials *= cfg.f_weight
     trials += x.take(r1, axis=0)
-    clip_to_bounds(trials, bounds, out=trials)
+    clip_to_bounds(trials, bounds)
     j_rand = rng.integers(0, d, size=n)
     # Keep the target's component where rand > CR, except at j_rand.
     keep = rng.random((n, d)) > cfg.cr

@@ -24,8 +24,7 @@ from .core import (
     check_objective,
     clip_to_bounds,
     evaluate_rows,
-    fitness_order,
-    rank_population,  # unused here; bench/layers.py traces this name
+    rank_population,
     require_finite,
     require_real,
     run_generations,
@@ -70,7 +69,8 @@ class QuasarConfig(RunConfig):
         for name in ("entangle_rate", "cr_floor", "p_final", "g_final",
                      "reinit_fraction", "elite_fraction"):
             v = getattr(self, name)
-            if not 0.0 < v <= 1.0:
+            require_real(name, v)
+            if v > 1.0:
                 raise ValueError(f"{name} must be in (0, 1], got {v}")
         require_real("noise_divisor", self.noise_divisor)
         require_real("epsilon_jitter", self.epsilon_jitter)
@@ -102,8 +102,6 @@ def select_strategy(rng: RngStream, entangle_rate: float, size: int):
     """Draw `size` mutation strategy codes: SPOOKY_BEST with probability
     entangle_rate, otherwise SPOOKY_CURRENT or SPOOKY_RANDOM with equal
     probability."""
-    if not 0.0 < entangle_rate <= 1.0:
-        raise ValueError(f"entangle_rate must be in (0, 1], got {entangle_rate}")
     # One draw of both uniform blocks: the stream use equals two draws.
     u_best, u_split = rng.random((2, size))
     # SPOOKY_CURRENT (1) below one half, SPOOKY_RANDOM (2) above.
@@ -227,7 +225,7 @@ def sample_reinit_positions(stats: EliteStats, bounds: BoundsBox,
             fallback = 2
     y += mu
     y += noise
-    return clip_to_bounds(y, bounds, out=y), fallback
+    return clip_to_bounds(y, bounds), fallback
 
 
 def step(objective, bounds: BoundsBox, pop: Population, cfg: QuasarConfig,
@@ -249,10 +247,10 @@ def step(objective, bounds: BoundsBox, pop: Population, cfg: QuasarConfig,
     donor indices, crossover matrix.
     """
     n, d = pop.size, pop.dim
-    # One stable sort gives the ranks and the worst slice.
-    order = fitness_order(pop.fitness)
-    ranks = np.empty(n, dtype=np.int64)
-    ranks[order] = np.arange(n)
+    # One stable sort gives the ranks; their inverse orders the worst slice.
+    ranks = rank_population(pop)
+    order = np.empty_like(ranks)
+    order[ranks] = np.arange(n)
 
     positions = pop.positions.copy()
     fitness = pop.fitness.copy()
@@ -289,7 +287,7 @@ def step(objective, bounds: BoundsBox, pop: Population, cfg: QuasarConfig,
 
     trials = _build_mutants(positions, best_idx, var_idx, strategies, f,
                             rand_idx)
-    clip_to_bounds(trials, bounds, out=trials)
+    clip_to_bounds(trials, bounds)
     cr = crossover_rate(ranks[var_idx], n, cfg.cr_floor)
     # The mutant's component where rand <= CR, else the target's.
     keep = rng.random((m, d)) > cr[:, None]

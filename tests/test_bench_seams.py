@@ -55,6 +55,7 @@ def test_quasar_seams(method):
         pop_size=9, g_max=G_MAX, seed=3, init_method=method))
     assert counter(stats, "benchmarks.eval", "rows") == result.eval_count
     assert calls(stats, "quasar.step") == G_MAX
+    assert calls(stats, "core.rank") == G_MAX
     assert counter(stats, "quasar.step", "members") == 9 * G_MAX
     assert calls(stats, "sampling.init") == 1
     assert calls(stats, "quasar.optimize") == 1
@@ -68,6 +69,7 @@ def test_de_seams(method):
     assert counter(stats, "benchmarks.eval", "rows") == result.eval_count
     assert calls(stats, "benchmarks.eval") == G_MAX + 1
     assert calls(stats, "quasar.step") == 0
+    assert calls(stats, "core.rank") == 0
     assert calls(stats, "sampling.init") == 1
     assert calls(stats, "de.optimize") == 1
     assert calls(stats, "core.clip") == G_MAX

@@ -16,10 +16,10 @@ from quasar_opt import (
 )
 from quasar_opt.core import (
     RunConfig,
-    best_of,
     clip_to_bounds,
     evaluate_rows,
     rank_population,
+    run_generations,
 )
 
 
@@ -108,28 +108,47 @@ class TestRankPopulation:
             rank_population(make_pop([1.0, 2.0, np.nan]))
 
 
-class TestBestOf:
-    def test_basic(self):
-        idx, pos, fit = best_of(make_pop([2.0, 1.0, 3.0]))
-        assert idx == 1 and fit == 1.0
+class TestRunGenerations:
+    """The best-so-far point: ties go to the lowest index, a later
+    generation replaces it only when strictly better, and it is a copy."""
 
-    def test_singleton(self):
-        idx, _, fit = best_of(make_pop([7.0]))
-        assert idx == 0 and fit == 7.0
+    @staticmethod
+    def run(*fitness_per_generation):
+        """Generation g has positions initial + 10 g and the given fitness."""
+        positions = np.arange(6.0).reshape(3, 2)
+        later = iter(fitness_per_generation[1:])
 
-    def test_tie_rule(self):
-        assert best_of(make_pop([1.0, 1.0]))[0] == 0
+        def advance(pop):
+            return Population(pop.positions + 10.0, np.array(next(later)),
+                              pop.generation + 1, pop.eval_count + 3)
 
-    def test_empty(self):
-        pop = Population(np.empty((0, 2)), np.empty(0))
-        with pytest.raises(ValueError, match="empty"):
-            best_of(pop)
+        result = run_generations(None, positions,
+                                 np.array(fitness_per_generation[0]),
+                                 len(fitness_per_generation) - 1, 0.0, advance)
+        return result, positions
+
+    def test_tie_goes_to_lowest_index(self):
+        result, positions = self.run([2.0, 1.0, 1.0])
+        assert result.best_fitness == 1.0
+        assert np.array_equal(result.best_position, positions[1])
+        assert result.trace.tolist() == [1.0] and result.eval_count == 3
+
+    def test_equal_later_best_keeps_the_earlier_point(self):
+        result, positions = self.run([1.0, 3.0, 3.0], [2.0, 1.0, 5.0])
+        assert np.array_equal(result.best_position, positions[0])
+        assert result.trace.tolist() == [1.0, 1.0]
+
+    def test_strictly_better_later_best_replaces_it(self):
+        result, positions = self.run([1.0, 3.0, 3.0], [5.0, 0.5, 0.5],
+                                     [0.7, 0.6, 9.0])
+        assert np.array_equal(result.best_position, positions[1] + 10.0)
+        assert result.trace.tolist() == [1.0, 0.5, 0.5]
+        assert result.eval_count == 9
 
     def test_position_is_copy(self):
-        pop = make_pop([1.0, 2.0])
-        _, pos, _ = best_of(pop)
-        pos += 99.0
-        assert np.all(pop.positions == 0.0)
+        result, positions = self.run([1.0, 2.0, 3.0])
+        positions += 99.0
+        assert result.best_position.tolist() == [0.0, 1.0]
 
 
 class TestRngStream:
@@ -224,6 +243,31 @@ class TestObjectiveContract:
     def test_uncallable_objective_refused(self, run, config, objective):
         with pytest.raises(TypeError, match="objective must be callable"):
             run(objective, self.box, config(pop_size=10, g_max=1))
+
+    # The objective returns the wrong number of values on one call: call 0
+    # evaluates the initial population (generation 0); call 2 is inside a
+    # step, QUASAR's generation-0 trials (10 minus the 3 reinitialized, as
+    # the reinit probability is 1 at generation 0) or DE's generation 1.
+    @pytest.mark.parametrize("bad_call", [0, 2])
+    @pytest.mark.parametrize("reshape", [
+        lambda v: v[:-1], lambda v: v[:1], lambda v: v[:, None],
+    ], ids=["n-1", "one", "column"])
+    def test_wrong_value_count_names_the_generation(self, run, config,
+                                                    reshape, bad_call):
+        calls = []
+
+        def batch(X):
+            calls.append(len(X))
+            v = np.sum(X * X, axis=1)
+            return reshape(v) if len(calls) == bad_call + 1 else v
+
+        obj = SimpleNamespace(dim=4, evaluate_many=batch)
+        points, generation = (10, 0) if bad_call == 0 else {
+            optimize: (7, 0), de_optimize: (10, 1)}[run]
+        with pytest.raises(ValueError, match=rf"for {points} points at "
+                                             rf"generation {generation}$"):
+            run(obj, self.box, config(pop_size=10, g_max=3, seed=3))
+        assert len(calls) == bad_call + 1
 
     def test_wrong_dim_refused(self, run, config):
         obj = SimpleNamespace(dim=5, evaluate=square_sum)

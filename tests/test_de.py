@@ -107,11 +107,13 @@ class TestDeOptimize:
 
     # Each of these used to pass validation and fail later, inside
     # sobol_sample, run_generations or SeedSequence, or as a "non-finite
-    # objective value" at generation 0.
+    # objective value" at generation 0. A string or None cr raised a bare
+    # TypeError naming no field, and a bool one was accepted.
     @pytest.mark.parametrize("field,value", [
         ("pop_size", 20.0), ("pop_size", 20.5), ("g_max", 3.0),
         ("g_max", True), ("seed", -1), ("f_weight", float("nan")),
         ("f_weight", float("inf")), ("init_method", "uniform"),
+        ("cr", "0.9"), ("cr", None), ("cr", True),
     ])
     def test_bad_value_named_up_front(self, field, value):
         with pytest.raises(ValueError, match=rf"^{field} must be"):

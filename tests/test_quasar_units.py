@@ -56,10 +56,6 @@ class TestSelectStrategy:
         draws = select_strategy(RngStream(1), 1.0, size=1000)
         assert np.all(draws == int(MutationStrategy.SPOOKY_BEST))
 
-    def test_rejects_zero_rate(self):
-        with pytest.raises(ValueError):
-            select_strategy(RngStream(0), 0.0, size=1)
-
 
 class TestFactorDistributions:
     def test_local_moments(self):
@@ -297,13 +293,18 @@ class TestQuasarConfig:
 
     # Each of these used to pass validation and fail later, inside
     # sobol_sample, run_generations or SeedSequence, or as a "non-finite
-    # objective value" at generation 0.
+    # objective value" at generation 0. A string or None fraction raised a
+    # bare TypeError naming no field, and a bool one was accepted.
     @pytest.mark.parametrize("field,value", [
         ("pop_size", 20.5), ("pop_size", 20.0), ("g_max", 3.0),
         ("g_max", True), ("seed", -1), ("seed", 1.0),
         ("noise_divisor", float("nan")), ("noise_divisor", float("inf")),
         ("epsilon_jitter", float("nan")), ("epsilon_jitter", float("inf")),
         ("init_method", "sobol"),
+        *[(field, value) for field in ("entangle_rate", "cr_floor", "p_final",
+                                       "g_final", "reinit_fraction",
+                                       "elite_fraction")
+          for value in ("0.5", None, True)],
     ])
     def test_bad_value_named_up_front(self, field, value):
         with pytest.raises(ValueError, match=rf"^{field} must be"):
