@@ -88,7 +88,7 @@ def main(argv=None) -> int:
             _print_summary(table)
             print(f"records and summary written to {args.out}")
         elif args.command == "summarize":
-            table = emit_summary(f"{args.in_dir}/records.csv", args.in_dir)
+            table = emit_summary(f"{args.in_dir}/records.csv")
             _print_summary(table)
         elif args.command == "suite":
             print(suite_manifest(make_suite(args.dim, args.seed)))

@@ -98,7 +98,7 @@ def evaluate_rows(objective, X: np.ndarray) -> np.ndarray:
     if hasattr(objective, "evaluate_many"):
         return np.asarray(objective.evaluate_many(X), dtype=float)
     call = getattr(objective, "evaluate", objective)
-    return np.array([float(call(row)) for row in X])
+    return np.array([call(row) for row in X], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -131,22 +131,16 @@ class Population:
         return self.positions.shape[1]
 
 
-def fitness_order(fitness: np.ndarray) -> np.ndarray:
-    """Indices sorting fitness best first, ties by lower index (stable);
-    NaN fitness is an error, as ranking NaN would corrupt selection."""
-    order = fitness.argsort(kind="stable")
-    if order.size and np.isnan(fitness[order[-1]]):    # NaN sorts last
+def rank_population(pop: Population) -> np.ndarray:
+    """0-based fitness ranks: rank 0 is the best (lowest fitness), ties by
+    lower index (stable); NaN fitness is an error, as ranking NaN would
+    corrupt selection."""
+    order = pop.fitness.argsort(kind="stable")
+    if order.size and np.isnan(pop.fitness[order[-1]]):    # NaN sorts last
         raise ValueError(
             f"cannot rank population: fitness of individual "
-            f"{int(np.argmax(np.isnan(fitness)))} is NaN"
+            f"{int(np.argmax(np.isnan(pop.fitness)))} is NaN"
         )
-    return order
-
-
-def rank_population(pop: Population) -> np.ndarray:
-    """0-based fitness ranks: rank 0 is the best (lowest fitness); ties and
-    NaN are handled as in fitness_order."""
-    order = fitness_order(pop.fitness)
     ranks = np.empty(order.size, dtype=np.int64)
     ranks[order] = np.arange(order.size)
     return ranks

@@ -1,11 +1,14 @@
 """Experiment runner: seeded trial grids, CSV records, JSON summaries.
 
-Raw results land in ``records.csv`` with the exact header
-``algo,function,dim,pop,gmax,trial,seed,final_error,runtime_sec,evals``,
-one row per completed trial, appended in a canonical order so interrupted
-runs resume by skipping finished rows. ``emit_summary`` turns a records
-file into ``summary.json`` plus ``plot_data.csv`` (long format: one row per
-scenario/algorithm with geometric-mean error and mean runtime).
+A ``TrialRecord`` describes one trial from plan to row: ``_plan_jobs``
+yields the records still to run, ``run_trial`` fills in their outcome, and
+the record's fields are the columns of ``records.csv``, whose exact header is
+``algo,function,dim,pop,gmax,trial,seed,final_error,runtime_sec,evals``.
+Rows are appended in a canonical order, one per finished trial, so
+interrupted runs resume by skipping them; a trial whose objective fails
+keeps the record's ``nan,nan,0`` defaults. ``emit_summary`` turns a records
+file into ``summary.json`` plus ``plot_data.csv`` beside it (long format: one
+row per scenario/algorithm with geometric-mean error and mean runtime).
 
 Per-trial seeds derive from the plan coordinates alone, so results are
 independent of execution order and of the worker count (set the
@@ -19,10 +22,10 @@ import hashlib
 import json
 import os
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass
-from functools import lru_cache
+from dataclasses import asdict, dataclass, fields, replace
+from functools import lru_cache, partial
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, get_type_hints
 
 import numpy as np
 
@@ -44,7 +47,6 @@ from .stats import (
     wilcoxon_signed_rank,
 )
 
-CSV_HEADER = "algo,function,dim,pop,gmax,trial,seed,final_error,runtime_sec,evals"
 WORKERS_ENV = "QUASAR_WORKERS"
 # Algorithm name -> (config class, module, optimizer name). The optimizer
 # is looked up in its module at call time, so it can be wrapped.
@@ -60,7 +62,9 @@ RESULT_FIELDS = ("g_max", "master_seed", "suite_seed")
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """One optimization run's outcome."""
+    """One trial, planned or run: its fields are the CSV columns in order.
+    The outcome defaults (``nan,nan,0``) mark a trial that has not run or
+    whose objective failed."""
 
     algo: str
     function: str
@@ -69,9 +73,14 @@ class TrialRecord:
     gmax: int
     trial: int
     seed: int
-    final_error: float
-    runtime_sec: float
-    evals: int
+    final_error: float = float("nan")
+    runtime_sec: float = float("nan")
+    evals: int = 0
+
+    @property
+    def key(self) -> Tuple[str, str, int, int, int]:
+        """The resume key: the plan coordinates that derive the seed."""
+        return (self.algo, self.function, self.dim, self.pop, self.trial)
 
     def csv_row(self) -> str:
         return (
@@ -82,7 +91,12 @@ class TrialRecord:
         )
 
 
-@dataclass
+CSV_HEADER = ",".join(f.name for f in fields(TrialRecord))
+# The column types double as the parsers of a CSV row.
+_PARSERS = tuple(get_type_hints(TrialRecord).values())
+
+
+@dataclass(frozen=True)
 class ExperimentPlan:
     """Scenario grid: which (dim, pop) cells to run, how often, with what.
 
@@ -158,55 +172,44 @@ def derive_seed(master_seed: int, algo: str, function: str, dim: int,
 
 
 @lru_cache(maxsize=32)
-def _suite(dim: int, suite_seed: int):
-    return make_suite(dim, suite_seed)
+def _suite(dim: int, suite_seed: int) -> Dict[str, object]:
+    return {fn.name: fn for fn in make_suite(dim, suite_seed)}
 
 
-def _plan_jobs(plan: ExperimentPlan, trace_dir: Optional[str]) -> List[tuple]:
-    """Canonical job order: cells, then functions, algorithms, trials."""
+def _plan_jobs(plan: ExperimentPlan) -> List[TrialRecord]:
+    """The plan's trials, not yet run, in canonical order: cells, then
+    functions, algorithms, trials."""
     names = [n for n in BASE_FUNCTIONS
              if plan.functions is None or n in plan.functions]
-    jobs = []
-    for dim, pop in plan.cells():
-        for name in names:
-            for algo in plan.algorithms:
-                for trial in range(plan.trials):
-                    seed = derive_seed(plan.master_seed, algo, name,
-                                       dim, pop, trial)
-                    jobs.append((algo, name, dim, pop, plan.g_max, trial,
-                                 seed, plan.suite_seed, trace_dir))
-    return jobs
+    return [TrialRecord(algo, name, dim, pop, plan.g_max, trial,
+                        derive_seed(plan.master_seed, algo, name, dim, pop,
+                                    trial))
+            for dim, pop in plan.cells() for name in names
+            for algo in plan.algorithms for trial in range(plan.trials)]
 
 
-def run_trial(algo: str, function: str, dim: int, pop: int, gmax: int,
-              trial: int, seed: int, suite_seed: int,
-              trace_dir: Optional[str] = None) -> TrialRecord:
-    """Execute one seeded trial; objective failures become NaN rows.
+def run_trial(job: TrialRecord, suite_seed: int,
+              trace_dir: Optional[str]) -> TrialRecord:
+    """Run one planned trial of a checked plan and return its outcome; an
+    objective failure returns ``job`` itself, the failed-row marker.
 
     runtime_sec is the optimizer's own OptResult.runtime_seconds, which
-    excludes the process's one-time sampler set-up. An unknown algorithm
-    or suite function raises ValueError."""
-    if algo not in _OPTIMIZERS:
-        raise ValueError(f"unknown algorithm: {algo!r}")
-    if function not in BASE_FUNCTIONS:
-        raise ValueError(f"unknown suite function: {function!r}")
-    config, module, optimizer = _OPTIMIZERS[algo]
-    # make_suite builds the functions in BASE_FUNCTIONS order.
-    fn = _suite(dim, suite_seed)[list(BASE_FUNCTIONS).index(function)]
+    excludes the process's one-time sampler set-up."""
+    config, module, optimizer = _OPTIMIZERS[job.algo]
+    fn = _suite(job.dim, suite_seed)[job.function]
     try:
-        cfg = config(pop_size=pop, g_max=gmax, seed=seed)
+        cfg = config(pop_size=job.pop, g_max=job.gmax, seed=job.seed)
         result = getattr(module, optimizer)(fn, fn.bounds, cfg)
     except (ValueError, FloatingPointError):
-        # Failed-row marker; the run continues with the remaining trials.
-        return TrialRecord(algo, function, dim, pop, gmax, trial, seed,
-                           float("nan"), float("nan"), 0)
+        return job    # the run continues with the remaining trials
     if trace_dir is not None:
-        path = Path(trace_dir) / f"{algo}_{function}_D{dim}_N{pop}_t{trial}.csv"
+        path = Path(trace_dir) / (f"{job.algo}_{job.function}_D{job.dim}"
+                                  f"_N{job.pop}_t{job.trial}.csv")
         path.parent.mkdir(parents=True, exist_ok=True)
         np.savetxt(path, result.trace)
-    return TrialRecord(algo, function, dim, pop, gmax, trial, seed,
-                       result.error, result.runtime_seconds,
-                       result.eval_count)
+    return replace(job, final_error=result.error,
+                   runtime_sec=result.runtime_seconds,
+                   evals=result.eval_count)
 
 
 def _check_same_results(plan_path: Path, plan: ExperimentPlan) -> None:
@@ -281,13 +284,12 @@ def run_plan(plan: ExperimentPlan, out_dir) -> SummaryTable:
         # not derive, was written by another plan. load_records skips blank
         # lines, which run_plan never writes.
         for lineno, rec in enumerate(load_records(records_path), start=2):
-            key = (rec.algo, rec.function, rec.dim, rec.pop, rec.trial)
-            seed = derive_seed(plan.master_seed, *key)
+            seed = derive_seed(plan.master_seed, *rec.key)
             if (rec.gmax, rec.seed) != (plan.g_max, seed):
                 raise ValueError(
                     f"{records_path}: line {lineno}: gmax {rec.gmax} and seed "
                     f"{rec.seed} are not this plan's ({plan.g_max}, {seed})")
-            done.add(key)
+            done.add(rec.key)
         # Rows do not carry suite_seed; only plan.json vouches for it.
         if done and not (out / "plan.json").exists():
             raise ValueError(f"{records_path} has rows but {out / 'plan.json'}"
@@ -300,23 +302,19 @@ def run_plan(plan: ExperimentPlan, out_dir) -> SummaryTable:
     tmp.write_text(json.dumps(asdict(plan), indent=2))
     os.replace(tmp, out / "plan.json")
 
+    jobs = [job for job in _plan_jobs(plan) if job.key not in done]
     trace_dir = str(out / "traces") if plan.save_traces else None
-    jobs = [j for j in _plan_jobs(plan, trace_dir)
-            if (j[0], j[1], j[2], j[3], j[5]) not in done]
-
+    trial = partial(run_trial, suite_seed=plan.suite_seed, trace_dir=trace_dir)
     # A pool forks all its workers at the first submit, so never start more
     # workers than there are jobs.
     workers = min(workers, len(jobs))
     with open(records_path, "a") as fh, _pool(workers) as pool:
         # Either map yields in submission order, which is canonical order.
-        # Neither takes zero iterables, so a finished plan maps nothing.
-        records = (pool.map if pool else map)(run_trial, *zip(*jobs)) \
-            if jobs else ()
-        for record in records:
+        for record in (pool.map if pool else map)(trial, jobs):
             fh.write(record.csv_row() + "\n")
             fh.flush()
 
-    return emit_summary(records_path, out)
+    return emit_summary(records_path)
 
 
 def load_records(path) -> List[TrialRecord]:
@@ -335,17 +333,12 @@ def load_records(path) -> List[TrialRecord]:
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if len(row) != 10:
-                raise ValueError(
-                    f"{path}: line {lineno}: expected 10 fields, got {len(row)}"
-                )
+            if len(row) != len(_PARSERS):
+                raise ValueError(f"{path}: line {lineno}: expected "
+                                 f"{len(_PARSERS)} fields, got {len(row)}")
             try:
                 records.append(TrialRecord(
-                    algo=row[0], function=row[1], dim=int(row[2]),
-                    pop=int(row[3]), gmax=int(row[4]), trial=int(row[5]),
-                    seed=int(row[6]), final_error=float(row[7]),
-                    runtime_sec=float(row[8]), evals=int(row[9]),
-                ))
+                    *(parse(v) for parse, v in zip(_PARSERS, row))))
             except ValueError as exc:
                 raise ValueError(
                     f"{path}: line {lineno}: {exc}"
@@ -462,11 +455,10 @@ def summarize_records(records: List[TrialRecord]) -> SummaryTable:
     return table
 
 
-def emit_summary(records_path, out_dir=None) -> SummaryTable:
-    """Summarize a records CSV into summary.json and plot_data.csv."""
-    records_path = Path(records_path)
-    out = Path(out_dir) if out_dir is not None else records_path.parent
-    out.mkdir(parents=True, exist_ok=True)
+def emit_summary(records_path) -> SummaryTable:
+    """Summarize a records CSV into summary.json and plot_data.csv beside
+    it."""
+    out = Path(records_path).parent
     table = summarize_records(load_records(records_path))
 
     (out / "summary.json").write_text(

@@ -103,22 +103,21 @@ def _checked(values, name: str) -> np.ndarray:
     return arr
 
 
-def _log_ratios(comparison_errors, reference_errors,
-                floor: float = ERROR_FLOOR) -> np.ndarray:
+def _log_ratios(comparison_errors, reference_errors) -> np.ndarray:
     comp = _checked(comparison_errors, "comparison_errors")
     ref = _checked(reference_errors, "reference_errors")
     if comp.size != ref.size:
         raise ValueError(
             f"error vectors must align: {comp.size} vs {ref.size} trials"
         )
-    return np.log(np.maximum(comp, floor)) - np.log(np.maximum(ref, floor))
+    return (np.log(np.maximum(comp, ERROR_FLOOR))
+            - np.log(np.maximum(ref, ERROR_FLOOR)))
 
 
-def gmerf(comparison_errors, reference_errors,
-          floor: float = ERROR_FLOOR) -> float:
+def gmerf(comparison_errors, reference_errors) -> float:
     """Geometric mean of per-trial ratios comparison/reference."""
     return float(np.exp(np.mean(_log_ratios(comparison_errors,
-                                            reference_errors, floor))))
+                                            reference_errors))))
 
 
 def gmerf_overall(per_scenario) -> float:
@@ -129,8 +128,8 @@ def gmerf_overall(per_scenario) -> float:
     return float(np.exp(np.mean(np.log(vals))))
 
 
-def gmerf_ci(comparison_errors, reference_errors, level: float = 0.95,
-             floor: float = ERROR_FLOOR) -> Tuple[float, float]:
+def gmerf_ci(comparison_errors, reference_errors,
+             level: float = 0.95) -> Tuple[float, float]:
     """Two-sided t-interval on the geometric mean ratio.
 
     Built on the mean of log ratios and exponentiated, so it always
@@ -138,7 +137,7 @@ def gmerf_ci(comparison_errors, reference_errors, level: float = 0.95,
     """
     if not 0.0 < level < 1.0:
         raise ValueError("confidence level must be in (0, 1)")
-    logs = _log_ratios(comparison_errors, reference_errors, floor)
+    logs = _log_ratios(comparison_errors, reference_errors)
     n = logs.size
     if n < 2:
         raise ValueError("confidence interval needs at least 2 trials")

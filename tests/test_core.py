@@ -205,6 +205,14 @@ class TestEvaluateRows:
                                evaluate_many=lambda X: X.sum(axis=1))
         assert evaluate_rows(both, np.ones((2, 3))).tolist() == [3.0, 3.0]
 
+    def test_scalar_results_convert_as_float_does(self):
+        results = [np.float32(0.1), 2**53 + 1, np.array(1 / 3), "2.5", True]
+        got = evaluate_rows(lambda x: results[int(x[0])],
+                            np.arange(5.0)[:, None])
+        assert got.dtype == np.float64
+        assert [v.hex() for v in got.tolist()] == \
+            [float(r).hex() for r in results]
+
 
 RUNS = [(optimize, QuasarConfig), (de_optimize, DeConfig)]
 
@@ -268,6 +276,19 @@ class TestObjectiveContract:
                                              rf"generation {generation}$"):
             run(obj, self.box, config(pop_size=10, g_max=3, seed=3))
         assert len(calls) == bad_call + 1
+
+    # A per-point result that is not one number is checked like an
+    # evaluate_many result.
+    @pytest.mark.parametrize("objective,message", [
+        (lambda x: x, r"returned 40 values \(shape \(10, 4\)\) for 10 points "
+                      r"at generation 0$"),
+        (lambda x: None, r"non-finite value \(nan\) at generation 0 for "
+                         r"individual 0$"),
+    ], ids=["array", "none"])
+    def test_non_scalar_row_result_names_the_generation(self, run, config,
+                                                        objective, message):
+        with pytest.raises(ValueError, match=message):
+            run(objective, self.box, config(pop_size=10, g_max=2))
 
     def test_wrong_dim_refused(self, run, config):
         obj = SimpleNamespace(dim=5, evaluate=square_sum)

@@ -1,7 +1,9 @@
 import concurrent.futures
 import dataclasses
+import functools
 import hashlib
 import json
+import multiprocessing
 import tempfile
 from pathlib import Path
 from types import SimpleNamespace
@@ -119,6 +121,12 @@ class TestPlan:
                                              r"\['nope'\]"):
             ExperimentPlan(functions=["sphere", "nope"])
 
+    def test_checked_plan_cannot_change(self):
+        plan = ExperimentPlan(**TINY)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            plan.g_max = -1
+        assert plan.g_max == TINY["g_max"]
+
     def test_repeated_entries_refused(self):
         with pytest.raises(ValueError, match=r"pop_sizes repeats \[20\]"):
             ExperimentPlan(dims=[5], pop_sizes=[20, 30, 20])
@@ -153,6 +161,11 @@ class TestPlan:
 
 
 class TestRunPlan:
+    def test_csv_header_pinned(self):
+        # Derived from TrialRecord's field order; existing files need it.
+        assert CSV_HEADER == ("algo,function,dim,pop,gmax,trial,seed,"
+                              "final_error,runtime_sec,evals")
+
     def test_row_cardinality(self, tmp_path):
         plan = ExperimentPlan(algorithms=["quasar", "de"], **TINY)
         run_plan(plan, tmp_path)
@@ -388,13 +401,40 @@ class TestRunPlan:
         run_plan(plan, tmp_path)
         assert calls == []
 
-    def test_unknown_algorithm_raises(self):
-        with pytest.raises(ValueError, match="unknown algorithm: 'lshade'"):
-            harness.run_trial("lshade", "sphere", 5, 20, 2, 0, 1, 1)
+    @pytest.mark.parametrize("error", [ValueError, FloatingPointError])
+    def test_failed_trial_row_serial_and_pooled(self, tmp_path, monkeypatch,
+                                                error):
+        plan = ExperimentPlan(**TINY)
+        bad = derive_seed(7, "quasar", "sphere", 5, 20, 1)
+        real = quasar_mod.optimize
 
-    def test_unknown_function_raises(self):
-        with pytest.raises(ValueError, match="unknown suite function: 'nope'"):
-            harness.run_trial("quasar", "nope", 5, 20, 2, 0, 1, 1)
+        def fails_once(fn, bounds, cfg):
+            if cfg.seed == bad:
+                raise error("objective failed")
+            return real(fn, bounds, cfg)
+
+        # Forked workers inherit the patched optimizer.
+        monkeypatch.setattr(quasar_mod, "optimize", fails_once)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            functools.partial(
+                                concurrent.futures.ProcessPoolExecutor,
+                                mp_context=multiprocessing.get_context("fork")))
+        run_plan(plan, tmp_path / "serial")
+        monkeypatch.setenv(harness.WORKERS_ENV, "2")
+        run_plan(plan, tmp_path / "pool")
+        strip = lambda rows: [r[:8] + r[9:] for r in rows]  # drop runtime col
+        _, serial = read_rows(tmp_path / "serial" / "records.csv")
+        _, pooled = read_rows(tmp_path / "pool" / "records.csv")
+        assert strip(pooled) == strip(serial)
+        for out in ("serial", "pool"):
+            _, rows = read_rows(tmp_path / out / "records.csv")
+            failed = [r for r in rows if int(r[6]) == bad]
+            assert [r[7:] for r in failed] == [["nan", "nan", "0"]]
+            assert all(np.isfinite(float(r[7])) and np.isfinite(float(r[8]))
+                       and int(r[9]) > 0 for r in rows if r not in failed)
+            assert len(rows) == 2 * 3
+            summary = json.loads((tmp_path / out / "summary.json").read_text())
+            assert summary["n_failed_trials"] == 1
 
     def test_save_traces(self, tmp_path):
         plan = ExperimentPlan(algorithms=["quasar"], save_traces=True, **TINY)
@@ -561,7 +601,7 @@ class TestEmitSummary:
             "de": [[0.4, 0.5, 0.45, 0.35, 0.55, 0.6]] * 2,
         })
         write_records(tmp_path / "records.csv", rows)
-        table = emit_summary(tmp_path / "records.csv", tmp_path)
+        table = emit_summary(tmp_path / "records.csv")
         parsed = SummaryTable.from_dict(
             json.loads((tmp_path / "summary.json").read_text()))
         assert parsed == table
@@ -572,7 +612,7 @@ class TestEmitSummary:
             "de": [[1.0] * 5, [2.0] * 5],
         })
         write_records(tmp_path / "records.csv", rows)
-        emit_summary(tmp_path / "records.csv", tmp_path)
+        emit_summary(tmp_path / "records.csv")
         lines = (tmp_path / "plot_data.csv").read_text().strip().splitlines()
         assert lines[0] == "algo,function,dim,pop,gm_error,mean_runtime_sec"
         assert len(lines) == 1 + 2 * 2  # scenarios * algorithms
@@ -617,6 +657,13 @@ class TestCli:
         assert cli_main(["summarize", "--in", str(out)]) == 0
         captured = capsys.readouterr()
         assert "friedman rank sums" in captured.out
+
+    def test_summarize_missing_directory_creates_nothing(self, tmp_path,
+                                                         capsys):
+        missing = tmp_path / "missing" / "sub"
+        assert cli_main(["summarize", "--in", str(missing)]) == 2
+        assert "records.csv" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_suite_manifest(self, capsys):
         assert cli_main(["suite", "--dim", "6", "--seed", "4"]) == 0
@@ -671,6 +718,9 @@ class TestCli:
         (["--dims", "5", "--pops", "4"], "quasar cannot run pop 4"),
         (["--dims", "5,5", "--pops", "20"], "dims repeats [5]"),
         (["--dims", "1", "--pops", "20"], "need dimension >= 2"),
+        (["--dims", "5", "--pops", "20", "--algos", "lshade"],
+         "algorithms must be a nonempty subset of ('quasar', 'de'), "
+         "got ('lshade',)"),
     ])
     def test_bad_plan_refused_before_any_trial(self, tmp_path, capsys,
                                                monkeypatch, args, message):
@@ -683,7 +733,7 @@ class TestCli:
                          "--functions", "sphere", "--out", str(out)])
         assert code == 2
         assert message in capsys.readouterr().err
-        assert not (out / "records.csv").exists()
+        assert not out.exists()
 
     def test_negative_suite_seed_named_and_leaves_no_plan(self, tmp_path,
                                                            capsys):
