@@ -15,12 +15,16 @@ from typing import Optional
 
 import numpy as np
 
-from .core import BoundsBox, RngStream
+from .core import BoundsBox, RngStream, work_array
 
 # Peak location and value of t*sin(sqrt(t)) on [0, 500]; frozen at 30-digit
 # precision so the schwefel-style base is exactly zero at its optimum.
 _SCHWEFEL_X = 420.968746359982027
 _SCHWEFEL_C = 418.982887272433706
+# Bytes of z per block of rows that a base function sees at once: its few
+# block-sized temporaries stay in cache, and below the 128 KB at which glibc
+# maps a fresh block for each allocation by default.
+_BLOCK_BYTES = 1 << 16
 
 
 def sphere(z):
@@ -153,7 +157,21 @@ class TestFunction:
                 f"got shape {X.shape}"
             )
         base = BASE_FUNCTIONS[self.name][0]
-        return base((X - self.shift) @ self.rotation.T)
+        # One full-size GEMM into work arrays: row-blocking the matmul would
+        # change its bits. The bases are row-local (elementwise work and
+        # last-axis sums), so running them over row blocks of z keeps every
+        # bit while their temporaries stay small and reused.
+        shifted = np.subtract(X, self.shift,
+                              out=work_array("suite.shifted", X.shape))
+        z = np.matmul(shifted, self.rotation.T,
+                      out=work_array("suite.z", X.shape))
+        rows = max(1, _BLOCK_BYTES // z.strides[0])
+        if len(z) <= rows:
+            return base(z)      # a base returns a new array, never a view
+        out = np.empty(len(z))
+        for i in range(0, len(z), rows):
+            out[i:i + rows] = base(z[i:i + rows])
+        return out
 
 
 def random_rotation(dim: int, rng: RngStream) -> np.ndarray:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import threading
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -99,6 +100,28 @@ def evaluate_rows(objective, X: np.ndarray) -> np.ndarray:
         return np.asarray(objective.evaluate_many(X), dtype=float)
     call = getattr(objective, "evaluate", objective)
     return np.array([call(row) for row in X], dtype=float)
+
+
+_work = threading.local()
+
+
+def work_array(slot: str, shape: tuple, dtype=float) -> np.ndarray:
+    """A C-contiguous scratch array of `shape` (rows, columns) and `dtype`
+    for the named slot, owned by the calling thread; its contents are
+    undefined.
+
+    The slot keeps one buffer, reused across generations and runs while the
+    column count and dtype stay the same and grown when more rows are asked
+    for, so a generation's temporaries are not freed and faulted in again on
+    every call. Threads, and so pool workers, never share a buffer. A caller
+    must be done with its slot before it calls an objective, which may
+    itself run an optimizer and take the same slot."""
+    rows, cols = shape
+    slots = vars(_work)
+    entry = slots.get(slot)             # (cols, dtype, buffer)
+    if entry is None or entry[:2] != (cols, dtype) or len(entry[2]) < rows:
+        entry = slots[slot] = (cols, dtype, np.empty(shape, dtype))
+    return entry[2][:rows]
 
 
 @dataclass(frozen=True)
@@ -236,8 +259,8 @@ class RngStream:
         return RngStream(self.seed, (*self._key, int(index)))
 
     # Thin pass-throughs for the draw types the optimizers use.
-    def random(self, size=None):
-        return self.generator.random(size)
+    def random(self, size=None, out=None):
+        return self.generator.random(size, out=out)
 
     def uniform(self, low=0.0, high=1.0, size=None):
         return self.generator.uniform(low, high, size)

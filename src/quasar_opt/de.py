@@ -20,6 +20,7 @@ from .core import (
     require_finite,
     require_real,
     run_generations,
+    work_array,
 )
 from .sampling import initial_population, prepare_init
 
@@ -71,15 +72,20 @@ def _de_step(objective, bounds: BoundsBox, pop: Population, cfg: DeConfig,
     r1, r2, r3 = _distinct_donors(rng, n)
     x = pop.positions
     # take() is the fast row gather; x[idx] costs ~4x more here. The mutants
-    # are built in place; + and * commute bit for bit in IEEE arithmetic.
+    # are built in place in a fresh array, which becomes the next
+    # population; + and * commute bit for bit in IEEE arithmetic. The other
+    # operands go through work arrays (mode="clip" writes them directly:
+    # every index is in range).
     trials = x.take(r2, axis=0)
-    trials -= x.take(r3, axis=0)
+    donor = work_array("rows", (n, d))
+    trials -= x.take(r3, axis=0, out=donor, mode="clip")
     trials *= cfg.f_weight
-    trials += x.take(r1, axis=0)
+    trials += x.take(r1, axis=0, out=donor, mode="clip")
     clip_to_bounds(trials, bounds)
     j_rand = rng.integers(0, d, size=n)
     # Keep the target's component where rand > CR, except at j_rand.
-    keep = rng.random((n, d)) > cfg.cr
+    keep = np.greater(rng.random(out=work_array("uniform", (n, d))),
+                      cfg.cr, out=work_array("keep", (n, d), bool))
     keep[np.arange(n), j_rand] = False
     np.copyto(trials, x, where=keep)
     trial_fit = evaluate_rows(objective, trials)

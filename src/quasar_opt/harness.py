@@ -117,6 +117,10 @@ class ExperimentPlan:
     save_traces: bool = False
 
     def __post_init__(self):
+        # Tuples, so a checked plan cannot be changed in place.
+        for name in ("dims", "pop_sizes", "algorithms", "functions"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, tuple(getattr(self, name)))
         if self.mode not in ("dim", "sample", "custom"):
             raise ValueError(f"unknown mode: {self.mode!r}")
         require_int("g_max", self.g_max, 0)

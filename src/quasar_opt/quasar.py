@@ -28,6 +28,7 @@ from .core import (
     require_finite,
     require_real,
     run_generations,
+    work_array,
 )
 from .sampling import initial_population, prepare_init
 
@@ -137,11 +138,15 @@ def _build_mutants(positions: np.ndarray, best_idx: int, var_idx: np.ndarray,
     p = strategies.choose((best_idx, var_idx, rand_idx))
     q = np.where(strategies == int(MutationStrategy.SPOOKY_CURRENT),
                  best_idx, var_idx)
-    # take() is the fast row gather; positions[idx] costs ~4x more here.
+    # take() is the fast row gather; positions[idx] costs ~4x more here. The
+    # mutants are a fresh array, as they go to the objective; the other two
+    # operands go through one work array (mode="clip" writes it directly:
+    # every index is in range).
     v = positions.take(q, axis=0)
-    v -= positions.take(rand_idx, axis=0)
+    donor = work_array("rows", v.shape)
+    v -= positions.take(rand_idx, axis=0, out=donor, mode="clip")
     v *= f[:, None]
-    v += positions.take(p, axis=0)
+    v += positions.take(p, axis=0, out=donor, mode="clip")
     return v
 
 
@@ -186,9 +191,11 @@ def compute_elite_stats(pop: Population, elite_fraction: float = 0.25,
             f"covariance needs at least {m} individuals, population has {n}"
         )
     order = pop.fitness.argsort(kind="stable")
-    elites = pop.positions.take(order[:m], axis=0)
-    mu = elites.sum(axis=0) / m
-    centered = elites - mu
+    # The elites, gathered into a work array and centered in place.
+    centered = pop.positions.take(order[:m], axis=0, mode="clip",
+                                  out=work_array("rows", (m, pop.dim)))
+    mu = centered.sum(axis=0) / m
+    centered -= mu
     sigma = centered.T @ centered
     sigma /= m - 1
     sigma.ravel()[::pop.dim + 1] += epsilon     # the diagonal, in place
@@ -289,15 +296,22 @@ def step(objective, bounds: BoundsBox, pop: Population, cfg: QuasarConfig,
                             rand_idx)
     clip_to_bounds(trials, bounds)
     cr = crossover_rate(ranks[var_idx], n, cfg.cr_floor)
-    # The mutant's component where rand <= CR, else the target's.
-    keep = rng.random((m, d)) > cr[:, None]
-    np.copyto(trials, positions.take(var_idx, axis=0), where=keep)
+    # The mutant's component where rand <= CR, else the target's. The
+    # draws, the mask and the target rows are work arrays, done with before
+    # the objective runs.
+    keep = np.greater(rng.random(out=work_array("uniform", (m, d))),
+                      cr[:, None], out=work_array("keep", (m, d), bool))
+    targets = positions.take(var_idx, axis=0, mode="clip",
+                             out=work_array("rows", (m, d)))
+    np.copyto(trials, targets, where=keep)
     trial_fit = evaluate_rows(objective, trials)
     require_finite(trial_fit, pop.generation, var_idx)
 
     accept = trial_fit < fitness[var_idx]
     winners = var_idx[accept]
-    positions[winners] = trials.compress(accept, axis=0)
+    positions[winners] = trials.take(      # the accepted rows
+        accept.nonzero()[0], axis=0, mode="clip",
+        out=work_array("rows", (winners.size, d)))
     fitness[winners] = trial_fit[accept]
 
     new_pop = Population(positions, fitness, pop.generation + 1,

@@ -8,7 +8,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import BoundsBox, InitMethod, RngStream
+from .core import BoundsBox, InitMethod, RngStream, work_array
 
 # Rows of the Joe-Kuo direction-number table (Joe & Kuo, SIAM J. Sci.
 # Comput. 2008) in _joe_kuo.npy, a C-ordered uint32 copy of the table scipy
@@ -44,9 +44,12 @@ def sobol_sample(n: int, bounds: BoundsBox, rng: Optional[RngStream] = None,
             f"dimensions; got {d}"
         )
     # Gray-code order: point k is point k-1 XOR the direction numbers of
-    # bit trailing_ones(k), i.e. log2 of the lowest set bit of k+1.
+    # bit trailing_ones(k), i.e. log2 of the lowest set bit of k+1. The bits
+    # go through a work array; only the scaled points are a new array.
     k1 = np.arange(1, n + 1)
-    bits = np.take(_direction_numbers(d), np.frexp(k1 & -k1)[1] - 1, axis=0)
+    bits = np.take(_direction_numbers(d), np.frexp(k1 & -k1)[1] - 1, axis=0,
+                   out=work_array("sobol.bits", (n, d), np.uint32),
+                   mode="clip")
     np.bitwise_xor.accumulate(bits, axis=0, out=bits)
     unit = bits * 2.0**-_BITS
     if scramble:

@@ -127,6 +127,18 @@ class TestPlan:
             plan.g_max = -1
         assert plan.g_max == TINY["g_max"]
 
+    def test_checked_sequences_cannot_change(self):
+        # The caller's lists are copied into tuples: appending to them, or
+        # to the plan's fields, cannot stop a checked plan midway.
+        dims, functions = [5], ["sphere"]
+        plan = ExperimentPlan(**dict(TINY, dims=dims, functions=functions))
+        dims.append(1)
+        functions.append("nope")
+        assert plan.dims == (5,) and plan.functions == ("sphere",)
+        for name in ("dims", "pop_sizes", "algorithms", "functions"):
+            with pytest.raises(AttributeError):
+                getattr(plan, name).append(1)
+
     def test_repeated_entries_refused(self):
         with pytest.raises(ValueError, match=r"pop_sizes repeats \[20\]"):
             ExperimentPlan(dims=[5], pop_sizes=[20, 30, 20])
