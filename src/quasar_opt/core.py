@@ -1,5 +1,5 @@
-"""Shared domain types: bounds, populations, objectives, run settings, RNG
-streams, results."""
+"""Shared domain types (bounds, populations, objectives, run settings, RNG
+streams, results) and the run and DE operators both optimizers share."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import threading
 import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, ClassVar, Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -293,21 +293,56 @@ class OptResult:
     eval_count: int
 
 
-def run_generations(objective, positions: np.ndarray, fitness: np.ndarray,
-                    g_max: int, t0: float,
-                    advance: Callable[[Population], Population]) -> OptResult:
-    """Check the evaluated initial rows, then apply advance() g_max times to
-    their population, tracking the best-so-far point (a copy; ties go to
-    the lowest index) and trace, and package the result; the runtime counts
-    from the perf_counter reading t0."""
-    n = len(positions)
+def mutants(x: np.ndarray, p, q, r, f) -> np.ndarray:
+    """Differential mutants x[p] + f * (x[q] - x[r]) as a fresh array (an
+    objective gets it); f is a scalar or a column of per-row factors. Built
+    in the gathered x[q] rows, as + and * commute bit for bit; the other
+    operands go through the `rows` work array. take() is ~4x faster than
+    x[idx]; mode="clip" writes `out` directly, as every index is in range."""
+    v = x.take(q, axis=0)
+    donor = work_array("rows", v.shape)
+    v -= x.take(r, axis=0, out=donor, mode="clip")
+    v *= f
+    v += x.take(p, axis=0, out=donor, mode="clip")
+    return v
+
+
+def crossover(trials: np.ndarray, targets, cr, rng: RngStream) -> None:
+    """Binomial crossover in place: trials keeps its component where a
+    uniform draw is <= cr and takes the target's elsewhere; cr is a scalar
+    or a column of per-row rates. One rng.random draw of trials' shape; the
+    draws and the mask are the `uniform` and `keep` work arrays."""
+    keep = np.greater(rng.random(out=work_array("uniform", trials.shape)),
+                      cr, out=work_array("keep", trials.shape, bool))
+    np.copyto(trials, targets, where=keep)
+
+
+def run_generations(objective, bounds: BoundsBox, cfg: RunConfig,
+                    initial_population, evaluate, advance) -> OptResult:
+    """The run both optimizers share: check the objective, warm the
+    initializer's tables, start the clock, draw the initial population with
+    initial_population(method, n, bounds, rng) and evaluate it with
+    evaluate(objective, X), then apply advance(pop, rng) cfg.g_max times,
+    tracking the best-so-far point (a copy; ties go to the lowest index) and
+    trace. Only the generation-0 population holds the initial rows, so they
+    are freed once generation 1 replaces it."""
+    from .sampling import prepare_init      # sampling imports this module
+    check_objective(objective, bounds.dim)
+    n = cfg.resolved_pop_size(bounds.dim)
+    rng = RngStream(cfg.seed)
+    prepare_init(cfg.init_method, bounds.dim)
+
+    t0 = time.perf_counter()
+    positions = initial_population(cfg.init_method, n, bounds, rng)
+    fitness = evaluate(objective, positions)
     require_finite(fitness, 0, range(n))
     pop = Population(positions, fitness, generation=0, eval_count=n)
+    del positions
     best_fit = math.inf
-    trace = np.empty(g_max + 1)
-    for g in range(g_max + 1):
+    trace = np.empty(cfg.g_max + 1)
+    for g in range(cfg.g_max + 1):
         if g:
-            pop = advance(pop)
+            pop = advance(pop, rng)
         i = int(pop.fitness.argmin())
         if pop.fitness[i] < best_fit:
             best_fit, best_pos = float(pop.fitness[i]), pop.positions[i].copy()

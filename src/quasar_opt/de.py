@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import ClassVar, Optional
 
@@ -14,15 +13,15 @@ from .core import (
     Population,
     RngStream,
     RunConfig,
-    check_objective,
     clip_to_bounds,
+    crossover,
     evaluate_rows,
+    mutants,
     require_finite,
     require_real,
     run_generations,
-    work_array,
 )
-from .sampling import initial_population, prepare_init
+from .sampling import initial_population
 
 
 @dataclass
@@ -71,23 +70,14 @@ def _de_step(objective, bounds: BoundsBox, pop: Population, cfg: DeConfig,
     n, d = pop.size, pop.dim
     r1, r2, r3 = _distinct_donors(rng, n)
     x = pop.positions
-    # take() is the fast row gather; x[idx] costs ~4x more here. The mutants
-    # are built in place in a fresh array, which becomes the next
-    # population; + and * commute bit for bit in IEEE arithmetic. The other
-    # operands go through work arrays (mode="clip" writes them directly:
-    # every index is in range).
-    trials = x.take(r2, axis=0)
-    donor = work_array("rows", (n, d))
-    trials -= x.take(r3, axis=0, out=donor, mode="clip")
-    trials *= cfg.f_weight
-    trials += x.take(r1, axis=0, out=donor, mode="clip")
+    # A fresh array: it becomes the next population.
+    trials = mutants(x, r1, r2, r3, cfg.f_weight)
     clip_to_bounds(trials, bounds)
-    j_rand = rng.integers(0, d, size=n)
-    # Keep the target's component where rand > CR, except at j_rand.
-    keep = np.greater(rng.random(out=work_array("uniform", (n, d))),
-                      cfg.cr, out=work_array("keep", (n, d), bool))
-    keep[np.arange(n), j_rand] = False
-    np.copyto(trials, x, where=keep)
+    # The mutant's component at j_rand survives crossover.
+    rows, j_rand = np.arange(n), rng.integers(0, d, size=n)
+    forced = trials[rows, j_rand]
+    crossover(trials, x, cfg.cr, rng)
+    trials[rows, j_rand] = forced
     trial_fit = evaluate_rows(objective, trials)
     require_finite(trial_fit, pop.generation, range(n))
 
@@ -105,13 +95,6 @@ def de_optimize(f, bounds: BoundsBox, cfg: Optional[DeConfig] = None) -> OptResu
     early stopping, deterministic for a given (f, bounds, cfg).
     """
     cfg = cfg or DeConfig()
-    check_objective(f, bounds.dim)
-    n = cfg.resolved_pop_size(bounds.dim)
-    rng = RngStream(cfg.seed)
-    prepare_init(cfg.init_method, bounds.dim)
-
-    t0 = time.perf_counter()
-    positions = initial_population(cfg.init_method, n, bounds, rng)
-    return run_generations(f, positions, evaluate_rows(f, positions),
-                           cfg.g_max, t0,
-                           lambda p: _de_step(f, bounds, p, cfg, rng))
+    return run_generations(
+        f, bounds, cfg, initial_population, evaluate_rows,
+        lambda pop, rng: _de_step(f, bounds, pop, cfg, rng))

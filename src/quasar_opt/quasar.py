@@ -8,7 +8,6 @@ trigger probability decays asymptotically over generations.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import ClassVar, Optional
@@ -21,16 +20,17 @@ from .core import (
     Population,
     RngStream,
     RunConfig,
-    check_objective,
     clip_to_bounds,
+    crossover,
     evaluate_rows,
+    mutants,
     rank_population,
     require_finite,
     require_real,
     run_generations,
     work_array,
 )
-from .sampling import initial_population, prepare_init
+from .sampling import initial_population
 
 # Factor distributions: local exploitation N(0, 0.33^2); global exploration
 # is an equal-weight mixture of N(+0.5, 0.25^2) and N(-0.5, 0.25^2).
@@ -131,23 +131,13 @@ def _build_mutants(positions: np.ndarray, best_idx: int, var_idx: np.ndarray,
 
     Every strategy is X_p + F * (X_q - X_rand), with (p, q) = (best, i),
     (i, best) and (rand, i) for SPOOKY_BEST, SPOOKY_CURRENT and
-    SPOOKY_RANDOM, so one gather per operand serves all three. It is built
-    in the gathered X_q rows; + and * commute bit for bit in IEEE
-    arithmetic, so the order of the operands does not change the result.
+    SPOOKY_RANDOM, so core.mutants serves all three with one gather per
+    operand.
     """
     p = strategies.choose((best_idx, var_idx, rand_idx))
     q = np.where(strategies == int(MutationStrategy.SPOOKY_CURRENT),
                  best_idx, var_idx)
-    # take() is the fast row gather; positions[idx] costs ~4x more here. The
-    # mutants are a fresh array, as they go to the objective; the other two
-    # operands go through one work array (mode="clip" writes it directly:
-    # every index is in range).
-    v = positions.take(q, axis=0)
-    donor = work_array("rows", v.shape)
-    v -= positions.take(rand_idx, axis=0, out=donor, mode="clip")
-    v *= f[:, None]
-    v += positions.take(p, axis=0, out=donor, mode="clip")
-    return v
+    return mutants(positions, p, q, rand_idx, f[:, None])
 
 
 def crossover_rate(rank, n: int, cr_floor: float = 0.33):
@@ -296,14 +286,10 @@ def step(objective, bounds: BoundsBox, pop: Population, cfg: QuasarConfig,
                             rand_idx)
     clip_to_bounds(trials, bounds)
     cr = crossover_rate(ranks[var_idx], n, cfg.cr_floor)
-    # The mutant's component where rand <= CR, else the target's. The
-    # draws, the mask and the target rows are work arrays, done with before
-    # the objective runs.
-    keep = np.greater(rng.random(out=work_array("uniform", (m, d))),
-                      cr[:, None], out=work_array("keep", (m, d), bool))
+    # The targets are a work array, done with before the objective runs.
     targets = positions.take(var_idx, axis=0, mode="clip",
                              out=work_array("rows", (m, d)))
-    np.copyto(trials, targets, where=keep)
+    crossover(trials, targets, cr[:, None], rng)
     trial_fit = evaluate_rows(objective, trials)
     require_finite(trial_fit, pop.generation, var_idx)
 
@@ -350,14 +336,7 @@ def optimize(f, bounds: BoundsBox, cfg: Optional[QuasarConfig] = None) -> OptRes
     are executed; there is no early stopping and no polish step.
     """
     cfg = cfg or QuasarConfig()
-    check_objective(f, bounds.dim)
-    n = cfg.resolved_pop_size(bounds.dim)
-    rng = RngStream(cfg.seed)
-    prepare_init(cfg.init_method, bounds.dim)
-
-    t0 = time.perf_counter()
-    positions = initial_population(cfg.init_method, n, bounds, rng)
     # `step` is looked up at call time, so it can be wrapped or replaced.
-    return run_generations(f, positions, evaluate_rows(f, positions),
-                           cfg.g_max, t0,
-                           lambda p: step(f, bounds, p, cfg, rng)[0])
+    return run_generations(
+        f, bounds, cfg, initial_population, evaluate_rows,
+        lambda pop, rng: step(f, bounds, pop, cfg, rng)[0])

@@ -1,10 +1,13 @@
 import dataclasses
 import inspect
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import quasar_opt.de as de_mod
+import quasar_opt.quasar as quasar_mod
 from quasar_opt import (
     BoundsBox,
     DeConfig,
@@ -116,15 +119,17 @@ class TestRunGenerations:
     def run(*fitness_per_generation):
         """Generation g has positions initial + 10 g and the given fitness."""
         positions = np.arange(6.0).reshape(3, 2)
-        later = iter(fitness_per_generation[1:])
+        fitness = iter(fitness_per_generation)
 
-        def advance(pop):
-            return Population(pop.positions + 10.0, np.array(next(later)),
+        def advance(pop, rng):
+            return Population(pop.positions + 10.0, np.array(next(fitness)),
                               pop.generation + 1, pop.eval_count + 3)
 
-        result = run_generations(None, positions,
-                                 np.array(fitness_per_generation[0]),
-                                 len(fitness_per_generation) - 1, 0.0, advance)
+        cfg = RunConfig(pop_size=3, g_max=len(fitness_per_generation) - 1)
+        result = run_generations(
+            lambda x: 0.0, BoundsBox.cube(0.0, 100.0, 2), cfg,
+            lambda method, n, bounds, rng: positions,
+            lambda objective, X: np.array(next(fitness)), advance)
         return result, positions
 
     def test_tie_goes_to_lowest_index(self):
@@ -149,6 +154,34 @@ class TestRunGenerations:
         result, positions = self.run([1.0, 2.0, 3.0])
         positions += 99.0
         assert result.best_position.tolist() == [0.0, 1.0]
+
+
+@pytest.mark.parametrize("module,step_name,run,cfg_cls", [
+    (quasar_mod, "step", optimize, QuasarConfig),
+    (de_mod, "_de_step", de_optimize, DeConfig)], ids=["quasar", "de"])
+def test_initial_population_is_freed_after_generation_1(
+        monkeypatch, module, step_name, run, cfg_cls):
+    """The first matrix the objective gets is the initial population; no
+    reference to it outlives generation 1."""
+    first = []
+
+    def evaluate_many(X):
+        if not first:
+            first.append(weakref.ref(X))
+        return np.sum(X * X, axis=1)
+
+    alive = []
+    real_step = getattr(module, step_name)
+
+    def step(objective, bounds, pop, cfg, rng):
+        if pop.generation:      # generation 1 has finished
+            alive.append(first[0]() is not None)
+        return real_step(objective, bounds, pop, cfg, rng)
+
+    monkeypatch.setattr(module, step_name, step)
+    run(SimpleNamespace(dim=4, evaluate_many=evaluate_many),
+        BoundsBox.cube(-1.0, 1.0, 4), cfg_cls(pop_size=10, g_max=4))
+    assert alive == [False] * 3
 
 
 class TestRngStream:

@@ -2,6 +2,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from oracles import binomial_crossover
 
 from quasar_opt import BoundsBox, DeConfig, Population, RngStream, de_optimize
 from quasar_opt.core import evaluate_rows
@@ -131,3 +132,31 @@ class TestDeOptimize:
         result = de_optimize(obj, bounds, DeConfig(pop_size=12, g_max=0, seed=0))
         init = sobol_sample(12, bounds)
         assert result.best_fitness == float(np.min(np.sum(init * init, axis=1)))
+
+
+def test_trials_match_the_oracle_and_keep_the_mutant_at_j_rand():
+    """_de_step's trials equal the per-individual reference fed the same
+    stream: mutant X_r1 + F (X_r2 - X_r3), clipped, binomial crossover with
+    the target, and the mutant's component at j_rand whatever the draw."""
+    n, d = 12, 6
+    bounds = BoundsBox.cube(-5.0, 5.0, d)
+    seen = []
+    obj = SimpleNamespace(dim=d, evaluate_many=lambda X: seen.append(
+        X.copy()) or np.sum(X * X, axis=1))
+    pop = fresh_pop(obj, bounds, n)
+    cfg = DeConfig(pop_size=n, f_weight=0.8, cr=0.3)
+    _de_step(obj, bounds, pop, cfg, RngStream(9))
+
+    rng = RngStream(9)
+    r1, r2, r3 = _distinct_donors(rng, n)
+    j_rand = rng.integers(0, d, size=n)
+    x, forced = pop.positions, 0
+    expected = np.empty((n, d))
+    for i in range(n):
+        v = np.clip(x[r1[i]] + cfg.f_weight * (x[r2[i]] - x[r3[i]]),
+                    bounds.low, bounds.high)
+        expected[i] = binomial_crossover(x[i], v, cfg.cr, rng)
+        forced += expected[i, j_rand[i]] != v[j_rand[i]]
+        expected[i, j_rand[i]] = v[j_rand[i]]
+    assert forced        # some draws would have kept the target at j_rand
+    assert np.array_equal(seen[-1], expected)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import quasar_opt.cli as cli
-import quasar_opt.de as de_mod
+import quasar_opt.core as core
 import quasar_opt.harness as harness
 import quasar_opt.quasar as quasar_mod
 import quasar_opt.sampling as sampling
@@ -31,7 +31,7 @@ from quasar_opt.cli import main as cli_main
 from quasar_opt.benchmarks import BASE_FUNCTIONS
 from quasar_opt.harness import (ALGORITHMS, CSV_HEADER, TrialRecord,
                                 derive_seed, load_records)
-from quasar_opt.stats import SummaryTable
+from quasar_opt.stats import ScenarioSummary, SummaryTable
 
 TINY = dict(dims=[5], pop_sizes=[20], g_max=5, trials=3,
             master_seed=7, suite_seed=1, functions=["sphere"])
@@ -464,18 +464,17 @@ class TestSamplerWarmUp:
 
     @pytest.fixture
     def events(self, monkeypatch):
-        """'load' for each read of the table and 'clock' for each start of
-        a run's clock, in the order they happen."""
+        """'load' for each read of the table and 'clock' for each clock
+        reading of a run (its start and its end), in the order they
+        happen."""
         events = []
         real_load = sampling._joe_kuo
         sampling._direction_numbers.cache_clear()
         monkeypatch.setattr(sampling, "_joe_kuo",
                             lambda d: events.append("load") or real_load(d))
-        for mod in (quasar_mod, de_mod):
-            clock = mod.time.perf_counter
-            monkeypatch.setattr(mod, "time", SimpleNamespace(
-                perf_counter=lambda clock=clock: events.append("clock")
-                or clock()))
+        clock = core.time.perf_counter
+        monkeypatch.setattr(core, "time", SimpleNamespace(
+            perf_counter=lambda: events.append("clock") or clock()))
         return events
 
     @pytest.mark.parametrize("run,cfg", [(optimize, QuasarConfig),
@@ -483,11 +482,11 @@ class TestSamplerWarmUp:
     def test_optimizers_load_before_their_clock(self, events, run, cfg):
         box = BoundsBox.cube(-1.0, 1.0, 3)
         run(lambda x: float(x @ x), box, cfg(pop_size=8, g_max=2))
-        assert events == ["load", "clock"]
+        assert events == ["load", "clock", "clock"]
 
     def test_serial_warms_once_before_first_trial(self, tmp_path, events):
         run_plan(ExperimentPlan(algorithms=["quasar"], **TINY), tmp_path)
-        assert events == ["load"] + ["clock"] * 3
+        assert events == ["load"] + ["clock"] * 6
 
     def test_finished_directory_does_not_warm(self, tmp_path, monkeypatch):
         plan = ExperimentPlan(algorithms=["quasar"], **TINY)
@@ -502,7 +501,7 @@ class TestSamplerWarmUp:
                                                    monkeypatch, inline_pool):
         monkeypatch.setenv(harness.WORKERS_ENV, "2")
         run_plan(ExperimentPlan(algorithms=["quasar"], **TINY), tmp_path)
-        assert events == ["load"] + ["clock"] * 3
+        assert events == ["load"] + ["clock"] * 6
 
 
 def write_records(path, rows):
@@ -573,6 +572,32 @@ class TestMedian:
         assert repr(got) == repr(float(np.median(values)))
 
 
+# Summary tables with every field set: NaN is left out, as it never
+# equals itself.
+labels = st.text("abdeqrs_", min_size=1, max_size=6)
+reals = st.floats(allow_nan=False)
+per_algo = st.dictionaries(labels, reals, max_size=3)
+intervals = st.dictionaries(labels, st.lists(reals, min_size=2, max_size=2),
+                            max_size=3)
+p_values = st.dictionaries(labels, st.none() | st.floats(0.0, 1.0),
+                           max_size=3)
+summary_tables = st.builds(
+    SummaryTable,
+    algorithms=st.lists(labels, max_size=3), reference=st.none() | labels,
+    scenarios=st.lists(st.builds(
+        ScenarioSummary, function=labels, dim=st.integers(2, 100),
+        pop=st.integers(4, 1000), n_trials=st.integers(1, 50),
+        gm_error=per_algo, mean_runtime=per_algo, gmerf=per_algo,
+        gmerf_ci=intervals, p_error=p_values, p_runtime=p_values,
+        error_floor_applied=st.booleans()), max_size=3),
+    rank_sums=per_algo, friedman_statistic=st.none() | reals,
+    friedman_p=st.none() | st.floats(0.0, 1.0), gmerf_overall=per_algo,
+    gmerf_overall_ci=intervals,
+    runtime_ratio_by_dim=st.dictionaries(labels, per_algo, max_size=2),
+    runtime_ratio_by_pop=st.dictionaries(labels, per_algo, max_size=2),
+    runtime_ratio_overall=per_algo, n_failed_trials=st.integers(0, 100))
+
+
 class TestEmitSummary:
     def test_dominant_algorithm_friedman(self, tmp_path):
         # quasar strictly best in every scenario: rank sum = #scenarios.
@@ -617,6 +642,15 @@ class TestEmitSummary:
         parsed = SummaryTable.from_dict(
             json.loads((tmp_path / "summary.json").read_text()))
         assert parsed == table
+
+    @settings(derandomize=True, database=None, max_examples=25)
+    @given(summary_tables)
+    def test_summary_table_round_trip(self, table):
+        """from_dict rebuilds a table from asdict output, and from the same
+        output after a JSON round trip (summary.json)."""
+        d = dataclasses.asdict(table)
+        assert SummaryTable.from_dict(d) == table
+        assert SummaryTable.from_dict(json.loads(json.dumps(d))) == table
 
     def test_plot_data_csv(self, tmp_path):
         rows = synthetic_rows({

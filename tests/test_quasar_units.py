@@ -12,6 +12,7 @@ from quasar_opt import (
     reinit_probability,
     sample_reinit_positions,
 )
+from quasar_opt.core import crossover
 from quasar_opt.quasar import (
     EliteStats,
     MutationStrategy,
@@ -156,6 +157,31 @@ class TestBinomialCrossover:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             binomial_crossover(np.zeros(3), np.ones(4), 0.5, RngStream(0))
+
+
+class TestSharedCrossoverMatchesOracle:
+    """core.crossover, on a whole matrix, equals the one-individual oracle
+    applied row by row to the same stream, bit for bit."""
+
+    @staticmethod
+    def check(cr, seed=5, m=40, d=7):
+        g = np.random.default_rng(seed)
+        targets, trials = g.uniform(-5.0, 5.0, (2, m, d))
+        rates = np.broadcast_to(cr, (m, 1))
+        rng = RngStream(seed)
+        expected = np.array([binomial_crossover(x, v, c, rng)
+                             for x, v, c in zip(targets, trials, rates)])
+        # Both sides occur, so the comparison sees the mask.
+        assert (expected == targets).any() and (expected != targets).any()
+        crossover(trials, targets, cr, RngStream(seed))
+        assert np.array_equal(trials, expected)
+
+    def test_per_row_rates(self):
+        ranks = np.random.default_rng(1).permutation(40)
+        self.check(crossover_rate(ranks, 40)[:, None])
+
+    def test_scalar_rate(self):
+        self.check(0.9)
 
 
 class TestGreedySelect:
