@@ -317,6 +317,21 @@ def crossover(trials: np.ndarray, targets, cr, rng: RngStream) -> None:
     np.copyto(trials, targets, where=keep)
 
 
+def select(positions: np.ndarray, fitness: np.ndarray, idx: np.ndarray,
+           trials: np.ndarray, trial_fit: np.ndarray) -> np.ndarray:
+    """Greedy one-to-one selection in place: member idx[k] takes trial k
+    only when trial_fit[k] is strictly lower (a tie keeps the incumbent).
+    Returns the accept mask. The accepted rows are gathered through the
+    `rows` work array, so trials is only read."""
+    accept = trial_fit < fitness[idx]
+    winners = idx[accept]
+    positions[winners] = trials.take(
+        accept.nonzero()[0], axis=0, mode="clip",
+        out=work_array("rows", (winners.size, trials.shape[1])))
+    fitness[winners] = trial_fit[accept]
+    return accept
+
+
 def run_generations(objective, bounds: BoundsBox, cfg: RunConfig,
                     initial_population, evaluate, advance) -> OptResult:
     """The run both optimizers share: check the objective, warm the

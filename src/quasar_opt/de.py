@@ -20,6 +20,7 @@ from .core import (
     require_finite,
     require_real,
     run_generations,
+    select,
 )
 from .sampling import initial_population
 
@@ -70,7 +71,6 @@ def _de_step(objective, bounds: BoundsBox, pop: Population, cfg: DeConfig,
     n, d = pop.size, pop.dim
     r1, r2, r3 = _distinct_donors(rng, n)
     x = pop.positions
-    # A fresh array: it becomes the next population.
     trials = mutants(x, r1, r2, r3, cfg.f_weight)
     clip_to_bounds(trials, bounds)
     # The mutant's component at j_rand survives crossover.
@@ -81,10 +81,9 @@ def _de_step(objective, bounds: BoundsBox, pop: Population, cfg: DeConfig,
     trial_fit = evaluate_rows(objective, trials)
     require_finite(trial_fit, pop.generation, range(n))
 
-    accept = trial_fit < pop.fitness
-    fitness = np.where(accept, trial_fit, pop.fitness)
-    np.copyto(trials, x, where=~accept[:, None])    # losers keep the target
-    return Population(trials, fitness, pop.generation + 1,
+    positions, fitness = x.copy(), pop.fitness.copy()
+    select(positions, fitness, rows, trials, trial_fit)
+    return Population(positions, fitness, pop.generation + 1,
                       pop.eval_count + n)
 
 

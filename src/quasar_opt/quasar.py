@@ -28,6 +28,7 @@ from .core import (
     require_finite,
     require_real,
     run_generations,
+    select,
     work_array,
 )
 from .sampling import initial_population
@@ -234,10 +235,11 @@ def step(objective, bounds: BoundsBox, pop: Population, cfg: QuasarConfig,
     with probability reinit_probability(g) by an elite-covariance sample
     (evaluated immediately, no crossover or greedy comparison); (3) every
     other individual runs strategy selection, mutation, rank-based binomial
-    crossover and greedy selection against its trial. Crossover rates use
-    the step-start ranking; mutation donors come from the post-reinit
-    snapshot, and all trials are evaluated against it (batch-synchronous,
-    so results do not depend on evaluation parallelism).
+    crossover and greedy selection against its trial, drawing nothing and
+    calling no objective when none is left. Crossover rates use the
+    step-start ranking; mutation donors come from the post-reinit snapshot,
+    and all trials are evaluated against it (batch-synchronous, so results
+    do not depend on evaluation parallelism).
 
     Draw order (all on the coordinating thread): reinit Bernoullis, reinit
     Gaussians and noise, strategy selectors, local factors, global factors,
@@ -272,33 +274,30 @@ def step(objective, bounds: BoundsBox, pop: Population, cfg: QuasarConfig,
     var_idx = (~reinit_mask).nonzero()[0]
     m = var_idx.size
 
-    best_idx = int(fitness.argmin())
-    strategies = select_strategy(rng, cfg.entangle_rate, size=m)
-    is_best = strategies == int(MutationStrategy.SPOOKY_BEST)
-    n_best = int(np.count_nonzero(is_best))
-    f = np.empty(m)
-    f[is_best] = sample_f_local(rng, size=n_best)
-    f[~is_best] = sample_f_global(rng, size=m - n_best)
-    r = rng.integers(0, n - 1, size=m)
-    rand_idx = r + (r >= var_idx)
+    strategies, n_accepted = np.zeros(0, np.int8), 0
+    if m:       # else all were reinitialized: no zero-row objective call
+        best_idx = int(fitness.argmin())
+        strategies = select_strategy(rng, cfg.entangle_rate, size=m)
+        is_best = strategies == int(MutationStrategy.SPOOKY_BEST)
+        n_best = int(np.count_nonzero(is_best))
+        f = np.empty(m)
+        f[is_best] = sample_f_local(rng, size=n_best)
+        f[~is_best] = sample_f_global(rng, size=m - n_best)
+        r = rng.integers(0, n - 1, size=m)
+        rand_idx = r + (r >= var_idx)
 
-    trials = _build_mutants(positions, best_idx, var_idx, strategies, f,
-                            rand_idx)
-    clip_to_bounds(trials, bounds)
-    cr = crossover_rate(ranks[var_idx], n, cfg.cr_floor)
-    # The targets are a work array, done with before the objective runs.
-    targets = positions.take(var_idx, axis=0, mode="clip",
-                             out=work_array("rows", (m, d)))
-    crossover(trials, targets, cr[:, None], rng)
-    trial_fit = evaluate_rows(objective, trials)
-    require_finite(trial_fit, pop.generation, var_idx)
-
-    accept = trial_fit < fitness[var_idx]
-    winners = var_idx[accept]
-    positions[winners] = trials.take(      # the accepted rows
-        accept.nonzero()[0], axis=0, mode="clip",
-        out=work_array("rows", (winners.size, d)))
-    fitness[winners] = trial_fit[accept]
+        trials = _build_mutants(positions, best_idx, var_idx, strategies, f,
+                                rand_idx)
+        clip_to_bounds(trials, bounds)
+        cr = crossover_rate(ranks[var_idx], n, cfg.cr_floor)
+        # The targets are a work array, done with before the objective runs.
+        targets = positions.take(var_idx, axis=0, mode="clip",
+                                 out=work_array("rows", (m, d)))
+        crossover(trials, targets, cr[:, None], rng)
+        trial_fit = evaluate_rows(objective, trials)
+        require_finite(trial_fit, pop.generation, var_idx)
+        n_accepted = int(np.count_nonzero(
+            select(positions, fitness, var_idx, trials, trial_fit)))
 
     new_pop = Population(positions, fitness, pop.generation + 1,
                          pop.eval_count + n)
@@ -307,7 +306,7 @@ def step(objective, bounds: BoundsBox, pop: Population, cfg: QuasarConfig,
         n_reinit=int(chosen.size),
         cholesky_fallback=fallback,
         strategy_counts=np.bincount(strategies, minlength=3),
-        n_accepted=int(np.count_nonzero(accept)),
+        n_accepted=n_accepted,
     )
 
 

@@ -2,7 +2,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from oracles import binomial_crossover
+from oracles import binomial_crossover, greedy_select
 
 from quasar_opt import BoundsBox, DeConfig, Population, RngStream, de_optimize
 from quasar_opt.core import evaluate_rows
@@ -137,7 +137,8 @@ class TestDeOptimize:
 def test_trials_match_the_oracle_and_keep_the_mutant_at_j_rand():
     """_de_step's trials equal the per-individual reference fed the same
     stream: mutant X_r1 + F (X_r2 - X_r3), clipped, binomial crossover with
-    the target, and the mutant's component at j_rand whatever the draw."""
+    the target, and the mutant's component at j_rand whatever the draw. The
+    next population is the per-individual greedy selection."""
     n, d = 12, 6
     bounds = BoundsBox.cube(-5.0, 5.0, d)
     seen = []
@@ -145,7 +146,7 @@ def test_trials_match_the_oracle_and_keep_the_mutant_at_j_rand():
         X.copy()) or np.sum(X * X, axis=1))
     pop = fresh_pop(obj, bounds, n)
     cfg = DeConfig(pop_size=n, f_weight=0.8, cr=0.3)
-    _de_step(obj, bounds, pop, cfg, RngStream(9))
+    new = _de_step(obj, bounds, pop, cfg, RngStream(9))
 
     rng = RngStream(9)
     r1, r2, r3 = _distinct_donors(rng, n)
@@ -160,3 +161,11 @@ def test_trials_match_the_oracle_and_keep_the_mutant_at_j_rand():
         expected[i, j_rand[i]] = v[j_rand[i]]
     assert forced        # some draws would have kept the target at j_rand
     assert np.array_equal(seen[-1], expected)
+
+    trial_fit = np.sum(expected * expected, axis=1)
+    kept = [greedy_select(x[i], pop.fitness[i], expected[i], trial_fit[i])
+            for i in range(n)]
+    accepted = sum(fu < fx for fu, fx in zip(trial_fit, pop.fitness))
+    assert 0 < accepted < n      # both branches of the selection occur
+    assert np.array_equal(new.positions, [pos for pos, _ in kept])
+    assert np.array_equal(new.fitness, [fit for _, fit in kept])

@@ -4,9 +4,11 @@ import functools
 import hashlib
 import json
 import multiprocessing
+import os
 import tempfile
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -447,6 +449,33 @@ class TestRunPlan:
             assert len(rows) == 2 * 3
             summary = json.loads((tmp_path / out / "summary.json").read_text())
             assert summary["n_failed_trials"] == 1
+
+    @settings(derandomize=True, database=None, max_examples=3, deadline=None)
+    @given(st.builds(
+        ExperimentPlan,
+        dims=st.lists(st.integers(2, 6), min_size=1, max_size=2, unique=True),
+        pop_sizes=st.lists(st.integers(5, 12), min_size=1, max_size=2,
+                           unique=True),
+        g_max=st.integers(0, 3),
+        trials=st.integers(1, 2),
+        master_seed=st.integers(0, 2**31),
+        suite_seed=st.integers(0, 9),
+        functions=st.lists(st.sampled_from(sorted(BASE_FUNCTIONS)),
+                           min_size=1, max_size=3, unique=True)))
+    def test_random_plan_pool_matches_serial(self, plan):
+        """A 2-worker pool writes the serial records.csv, runtimes aside."""
+        def records(out, workers):
+            with mock.patch.dict(os.environ, {harness.WORKERS_ENV: workers}):
+                run_plan(plan, out)
+            header, rows = read_rows(out / "records.csv")
+            runtime = header.split(",").index("runtime_sec")
+            return [r[:runtime] + r[runtime + 1:] for r in rows]
+
+        with tempfile.TemporaryDirectory() as tmp:
+            serial = records(Path(tmp) / "serial", "1")
+            assert len(serial) == (len(plan.cells()) * plan.trials
+                                   * len(plan.functions) * 2)
+            assert serial == records(Path(tmp) / "pool", "2")
 
     def test_save_traces(self, tmp_path):
         plan = ExperimentPlan(algorithms=["quasar"], save_traces=True, **TINY)

@@ -12,7 +12,7 @@ from quasar_opt import (
     reinit_probability,
     sample_reinit_positions,
 )
-from quasar_opt.core import crossover
+from quasar_opt.core import crossover, select
 from quasar_opt.quasar import (
     EliteStats,
     MutationStrategy,
@@ -182,6 +182,45 @@ class TestSharedCrossoverMatchesOracle:
 
     def test_scalar_rate(self):
         self.check(0.9)
+
+
+class TestSharedSelectMatchesOracle:
+    """core.select, on a population, equals the one-individual oracle
+    applied to each (member, trial) pair, and only reads the trials."""
+
+    @staticmethod
+    def check(idx, trial_fit, seed=3, n=30, d=5):
+        g = np.random.default_rng(seed)
+        positions = g.uniform(-5.0, 5.0, (n, d))
+        fitness = g.integers(0, 4, n).astype(float)     # coarse: ties occur
+        trials = g.uniform(-5.0, 5.0, (len(idx), d))
+        expected_pos, expected_fit = positions.copy(), fitness.copy()
+        for k, i in enumerate(idx):
+            expected_pos[i], expected_fit[i] = greedy_select(
+                positions[i], fitness[i], trials[k], trial_fit[k])
+        wins = np.array([fu < fitness[i] for i, fu in zip(idx, trial_fit)],
+                        dtype=bool)
+        trials_before = trials.copy()
+        accept = select(positions, fitness, idx, trials, trial_fit)
+        assert np.array_equal(accept, wins)
+        assert np.array_equal(positions, expected_pos)
+        assert np.array_equal(fitness, expected_fit)
+        assert np.array_equal(trials, trials_before)
+        return accept
+
+    def test_ties_keep_the_incumbent(self):
+        g = np.random.default_rng(0)
+        idx = g.permutation(30)[:20]
+        accept = self.check(idx, g.integers(0, 4, 20).astype(float))
+        assert accept.any() and not accept.all()
+
+    def test_empty(self):
+        accept = self.check(np.array([], dtype=np.int64), np.array([]))
+        assert accept.shape == (0,)
+
+    def test_all_accept(self):
+        idx = np.arange(30)[::-1]
+        assert self.check(idx, np.full(30, -1.0)).all()
 
 
 class TestGreedySelect:

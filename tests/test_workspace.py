@@ -88,13 +88,13 @@ def test_objective_inputs_are_fresh(run, cfg_cls):
             assert not np.shares_memory(x, y)
 
 
-def test_quasar_never_writes_an_objective_input():
-    """QUASAR leaves every matrix it hands to the objective as it was at
-    call time, to the end of the run. (DE's trial matrix becomes its next
-    population, so rows that lose selection take their target's values.)"""
+@pytest.mark.parametrize("run,cfg_cls", RUNS)
+def test_quasar_never_writes_an_objective_input(run, cfg_cls):
+    """Both optimizers leave every matrix they hand to the objective as it
+    was at call time, to the end of the run."""
     fn = suite_fn()
     keeper = Keeper(fn)
-    optimize(keeper, fn.bounds, QuasarConfig(pop_size=40, g_max=6, seed=2))
+    run(keeper, fn.bounds, cfg_cls(pop_size=40, g_max=6, seed=2))
     assert all(np.array_equal(x, at_call) for x, at_call in keeper.kept)
 
 
