@@ -334,21 +334,20 @@ def select(positions: np.ndarray, fitness: np.ndarray, idx: np.ndarray,
 
 def run_generations(objective, bounds: BoundsBox, cfg: RunConfig,
                     initial_population, evaluate, advance) -> OptResult:
-    """The run both optimizers share: check the objective, warm the
-    initializer's tables, start the clock, draw the initial population with
-    initial_population(method, n, bounds, rng) and evaluate it with
-    evaluate(objective, X), then apply advance(pop, rng) cfg.g_max times,
-    tracking the best-so-far point (a copy; ties go to the lowest index) and
-    trace. Only the generation-0 population holds the initial rows, so they
-    are freed once generation 1 replaces it."""
-    from .sampling import prepare_init      # sampling imports this module
+    """The run both optimizers share: check the objective, draw the initial
+    population with initial_population(method, n, bounds, rng), start the
+    clock, evaluate the population with evaluate(objective, X), then apply
+    advance(pop, rng) cfg.g_max times, tracking the best-so-far point (a
+    copy; ties go to the lowest index) and trace. The clock leaves out the
+    draw, and with it any table the initializer builds once per process.
+    Only the generation-0 population holds the initial rows, so they are
+    freed once generation 1 replaces it."""
     check_objective(objective, bounds.dim)
     n = cfg.resolved_pop_size(bounds.dim)
     rng = RngStream(cfg.seed)
-    prepare_init(cfg.init_method, bounds.dim)
+    positions = initial_population(cfg.init_method, n, bounds, rng)
 
     t0 = time.perf_counter()
-    positions = initial_population(cfg.init_method, n, bounds, rng)
     fitness = evaluate(objective, positions)
     require_finite(fitness, 0, range(n))
     pop = Population(positions, fitness, generation=0, eval_count=n)

@@ -146,8 +146,8 @@ class ExperimentPlan:
             unknown = set(self.functions) - set(BASE_FUNCTIONS)
             if unknown:
                 raise ValueError(f"unknown suite functions: {sorted(unknown)}")
-        for name in ("dims", "pop_sizes", "algorithms"):
-            values = list(getattr(self, name))
+        for name in ("dims", "pop_sizes", "algorithms", "functions"):
+            values = list(getattr(self, name) or ())
             repeated = {v for v in values if values.count(v) > 1}
             if repeated:
                 raise ValueError(f"{name} repeats {sorted(repeated)}")
@@ -198,7 +198,7 @@ def run_trial(job: TrialRecord, suite_seed: int,
     objective failure returns ``job`` itself, the failed-row marker.
 
     runtime_sec is the optimizer's own OptResult.runtime_seconds, which
-    excludes the process's one-time sampler set-up."""
+    leaves out the initial draw and so the one-time sampler set-up."""
     config, module, optimizer = _OPTIMIZERS[job.algo]
     fn = _suite(job.dim, suite_seed)[job.function]
     try:
@@ -355,17 +355,6 @@ def _ci(comp: np.ndarray, ref: np.ndarray, point: float) -> List[float]:
     return list(gmerf_ci(comp, ref)) if comp.size >= 2 else [point, point]
 
 
-def _paired_p(x: np.ndarray, y: np.ndarray) -> Optional[float]:
-    """Wilcoxon p with the degenerate cases absorbed: exact equality means
-    no evidence of a difference (p=1), too few nonzero pairs means None."""
-    nonzero = int(np.sum(x - y != 0.0))
-    if nonzero == 0:
-        return 1.0
-    if nonzero < 5:
-        return None
-    return wilcoxon_signed_rank(x, y)[1]
-
-
 def _median(values: np.ndarray) -> float:
     """np.median of finite values, bit for bit: the middle one or two sorted
     values, summed onto 0.0 (so a zero median is +0.0) and averaged.
@@ -418,8 +407,10 @@ def summarize_records(records: List[TrialRecord]) -> SummaryTable:
             g = gmerf(err[algo], err[reference])
             sc.gmerf[algo] = g
             sc.gmerf_ci[algo] = _ci(err[algo], err[reference], g)
-            sc.p_error[algo] = _paired_p(err[algo], err[reference])
-            sc.p_runtime[algo] = _paired_p(rt[algo], rt[reference])
+            sc.p_error[algo] = wilcoxon_signed_rank(
+                err[algo], err[reference])[1]
+            sc.p_runtime[algo] = wilcoxon_signed_rank(
+                rt[algo], rt[reference])[1]
         table.scenarios.append(sc)
         aligned.append((sc, err, rt))
     if not aligned:

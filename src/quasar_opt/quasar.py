@@ -86,7 +86,7 @@ class EliteStats:
     mu: np.ndarray       # (D,)
     sigma: np.ndarray    # (D, D), symmetric, includes the epsilon*I jitter
     m: int
-    epsilon: float = 1e-12
+    epsilon: float = QuasarConfig.epsilon_jitter
 
 
 @dataclass(frozen=True)
@@ -141,7 +141,7 @@ def _build_mutants(positions: np.ndarray, best_idx: int, var_idx: np.ndarray,
     return mutants(positions, p, q, rand_idx, f[:, None])
 
 
-def crossover_rate(rank, n: int, cr_floor: float = 0.33):
+def crossover_rate(rank, n: int, cr_floor: float = QuasarConfig.cr_floor):
     """Rank-based crossover rate max((n-1-rank)/(n-1), cr_floor).
 
     Ranks are 0-based: the best individual (rank 0) gets CR = 1.0, the worst
@@ -154,8 +154,9 @@ def crossover_rate(rank, n: int, cr_floor: float = 0.33):
     return float(out) if out.ndim == 0 else out
 
 
-def reinit_probability(g: int, g_max: int, p_final: float = 0.33,
-                       g_final: float = 0.33) -> float:
+def reinit_probability(g: int, g_max: int,
+                       p_final: float = QuasarConfig.p_final,
+                       g_final: float = QuasarConfig.g_final) -> float:
     """Reinitialization probability exp(ln(p_final) / (g_final * g_max) * g).
 
     Decays from 1 at g=0 to p_final at g = g_final * g_max, continuing
@@ -168,8 +169,9 @@ def reinit_probability(g: int, g_max: int, p_final: float = 0.33,
     return float(np.exp(np.log(p_final) / (g_final * g_max) * g))
 
 
-def compute_elite_stats(pop: Population, elite_fraction: float = 0.25,
-                        epsilon: float = 1e-12) -> EliteStats:
+def compute_elite_stats(
+        pop: Population, elite_fraction: float = QuasarConfig.elite_fraction,
+        epsilon: float = QuasarConfig.epsilon_jitter) -> EliteStats:
     """Mean and unbiased covariance of the top max(2, floor(frac*N)) members.
 
     The covariance gets an epsilon*I jitter so it admits a Cholesky

@@ -8,7 +8,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import BoundsBox, InitMethod, RngStream, work_array
+from .core import BoundsBox, InitMethod, RngStream
 
 # Rows of the Joe-Kuo direction-number table (Joe & Kuo, SIAM J. Sci.
 # Comput. 2008) in _joe_kuo.npy, a C-ordered uint32 copy of the table scipy
@@ -44,12 +44,9 @@ def sobol_sample(n: int, bounds: BoundsBox, rng: Optional[RngStream] = None,
             f"dimensions; got {d}"
         )
     # Gray-code order: point k is point k-1 XOR the direction numbers of
-    # bit trailing_ones(k), i.e. log2 of the lowest set bit of k+1. The bits
-    # go through a work array; only the scaled points are a new array.
+    # bit trailing_ones(k), i.e. log2 of the lowest set bit of k+1.
     k1 = np.arange(1, n + 1)
-    bits = np.take(_direction_numbers(d), np.frexp(k1 & -k1)[1] - 1, axis=0,
-                   out=work_array("sobol.bits", (n, d), np.uint32),
-                   mode="clip")
+    bits = _direction_numbers(d).take(np.frexp(k1 & -k1)[1] - 1, axis=0)
     np.bitwise_xor.accumulate(bits, axis=0, out=bits)
     unit = bits * 2.0**-_BITS
     if scramble:
@@ -123,16 +120,6 @@ def uniform_sample(n: int, bounds: BoundsBox, rng: RngStream) -> np.ndarray:
         raise ValueError("need at least one sample")
     unit = rng.random((n, bounds.dim))
     return bounds.low + unit * bounds.width
-
-
-def prepare_init(method: InitMethod, dim: int) -> None:
-    """Build what initial_population(method, ...) reuses across calls in a
-    process: for Sobol, the direction numbers of dim, built from the first
-    dim rows of the Joe-Kuo table (~4 ms at dim = 100). The optimizers call
-    it before their clock starts, so no run's runtime holds this one-time
-    set-up."""
-    if method is InitMethod.SOBOL and dim <= SOBOL_MAX_DIM:
-        _direction_numbers(dim)
 
 
 def initial_population(method: InitMethod, n: int, bounds: BoundsBox,

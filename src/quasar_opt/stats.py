@@ -197,12 +197,13 @@ def friedman_rank_sums(median_errors) -> FriedmanResult:
     return FriedmanResult(rank_sums, float(stat), _chi2_sf(a - 1, stat))
 
 
-def wilcoxon_signed_rank(x, y) -> Tuple[float, float]:
+def wilcoxon_signed_rank(x, y) -> Tuple[float, Optional[float]]:
     """Paired two-sided Wilcoxon signed-rank test, normal approximation.
 
-    Zero differences are dropped; at least 5 nonzero pairs are required.
-    The statistic is min(W+, W-); the p-value uses the tie-corrected
-    variance and a 0.5 continuity correction toward the mean.
+    Zero differences are dropped. The statistic is min(W+, W-); the p-value
+    uses the tie-corrected variance and a 0.5 continuity correction toward
+    the mean. With every difference zero there is no evidence of one, so the
+    result is (0.0, 1.0); with 1-4 nonzero differences the p-value is None.
     """
     xa = _checked(x, "x")
     ya = _checked(y, "y")
@@ -212,15 +213,11 @@ def wilcoxon_signed_rank(x, y) -> Tuple[float, float]:
     d = d[d != 0.0]
     n = d.size
     if n == 0:
-        raise ValueError("degenerate test: all paired differences are zero")
-    if n < 5:
-        raise ValueError(
-            f"need at least 5 nonzero differences, got {n}"
-        )
+        return 0.0, 1.0
     ranks = _average_ranks(np.abs(d))
-    w_plus = ranks[d > 0].sum()
-    w_minus = ranks[d < 0].sum()
-    statistic = min(w_plus, w_minus)
+    statistic = float(min(ranks[d > 0].sum(), ranks[d < 0].sum()))
+    if n < 5:
+        return statistic, None
 
     mean = n * (n + 1) / 4.0
     var = n * (n + 1) * (2 * n + 1) / 24.0
@@ -229,7 +226,7 @@ def wilcoxon_signed_rank(x, y) -> Tuple[float, float]:
     var -= np.sum(counts.astype(float) ** 3 - counts) / 48.0
     z = (statistic - mean + 0.5) / np.sqrt(var)
     p = min(2.0 * _normal_cdf(z), 1.0)
-    return float(statistic), p
+    return statistic, p
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import quasar_opt.core as core_mod
 import quasar_opt.de as de_mod
 import quasar_opt.quasar as quasar_mod
 from quasar_opt import (
@@ -154,6 +155,25 @@ class TestRunGenerations:
         result, positions = self.run([1.0, 2.0, 3.0])
         positions += 99.0
         assert result.best_position.tolist() == [0.0, 1.0]
+
+
+@pytest.mark.parametrize("module,run,cfg_cls", [
+    (quasar_mod, optimize, QuasarConfig), (de_mod, de_optimize, DeConfig)],
+    ids=["quasar", "de"])
+def test_clock_starts_after_the_initial_draw(monkeypatch, module, run,
+                                             cfg_cls):
+    """runtime_seconds times the initial evaluation and every generation,
+    not the draw of the initial population."""
+    events = []
+    draw = module.initial_population
+    monkeypatch.setattr(module, "initial_population",
+                        lambda *a: events.append("draw") or draw(*a))
+    clock = core_mod.time.perf_counter
+    monkeypatch.setattr(core_mod, "time", SimpleNamespace(
+        perf_counter=lambda: events.append("clock") or clock()))
+    run(lambda x: float(x @ x), BoundsBox.cube(-1.0, 1.0, 3),
+        cfg_cls(pop_size=8, g_max=2))
+    assert events == ["draw", "clock", "clock"]
 
 
 @pytest.mark.parametrize("module,step_name,run,cfg_cls", [

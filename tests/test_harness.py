@@ -835,3 +835,15 @@ class TestCli:
         assert cli_main([*argv, "--functions", "sphere", "--gmax", "3"]) == 0
         _, rows = read_rows(out / "records.csv")
         assert [(r[1], r[4]) for r in rows] == [("sphere", "3")] * 2
+
+    def test_repeated_function_refused(self, tmp_path, capsys):
+        # plan.json used to record the repeat, though no job was doubled.
+        with pytest.raises(ValueError, match=r"functions repeats \['sphere'\]"):
+            ExperimentPlan(functions=("sphere", "sphere"))
+        out = tmp_path / "w"
+        code = cli_main(["run", "--dims", "5", "--pops", "20", "--trials",
+                         "1", "--gmax", "2", "--functions", "sphere,sphere",
+                         "--out", str(out)])
+        assert code == 2
+        assert "functions repeats ['sphere']" in capsys.readouterr().err
+        assert not out.exists()

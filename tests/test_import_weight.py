@@ -106,8 +106,8 @@ import resource
 import sys
 import tempfile
 import numpy as np
-from quasar_opt import (DeConfig, InitMethod, QuasarConfig, cli, de_optimize,
-                        make_suite, optimize, sampling)
+from quasar_opt import (DeConfig, QuasarConfig, cli, de_optimize, make_suite,
+                        optimize, sampling)
 
 
 def peak_mb():
@@ -122,9 +122,9 @@ sampling._joe_kuo = lambda *d: (np.arange(1, 101, dtype=np.uint32),
 sampling._direction_numbers.__wrapped__(100)
 sampling._joe_kuo = real_table
 before = peak_mb()
-sampling.prepare_init(InitMethod.SOBOL, 100)
+sampling._direction_numbers(100)
 grown = peak_mb() - before
-assert grown <= 0.5, f"prepare_init(SOBOL, 100) added {grown:.2f} MB"
+assert grown <= 0.5, f"_direction_numbers(100) added {grown:.2f} MB"
 
 fn = make_suite(5, 1)[4]
 for run, cfg in ((optimize, QuasarConfig), (de_optimize, DeConfig)):

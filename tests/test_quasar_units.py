@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -345,6 +347,18 @@ class TestQuasarConfig:
         cfg = QuasarConfig()
         assert cfg.entangle_rate == 0.33
         assert cfg.resolved_pop_size(12) == 120
+
+    @pytest.mark.parametrize("target,param,field", [
+        (crossover_rate, "cr_floor", "cr_floor"),
+        (reinit_probability, "p_final", "p_final"),
+        (reinit_probability, "g_final", "g_final"),
+        (compute_elite_stats, "elite_fraction", "elite_fraction"),
+        (compute_elite_stats, "epsilon", "epsilon_jitter"),
+        (EliteStats, "epsilon", "epsilon_jitter"),
+    ])
+    def test_helper_defaults_are_the_configs(self, target, param, field):
+        default = inspect.signature(target).parameters[param].default
+        assert default == getattr(QuasarConfig(), field)
 
     def test_rejects_bad_fractions(self):
         with pytest.raises(ValueError):

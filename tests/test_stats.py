@@ -225,16 +225,22 @@ class TestWilcoxon:
             statistic, p = wilcoxon_signed_rank(d, np.zeros(n))
             assert math.isfinite(statistic) and 0.0 < p <= 1.0, n
 
-    def test_all_zero_differences_rejected(self):
+    def test_all_zero_differences_give_p_one(self):
+        # Exact equality is no evidence of a difference.
         x = np.ones(10)
-        with pytest.raises(ValueError, match="degenerate"):
-            wilcoxon_signed_rank(x, x)
+        assert wilcoxon_signed_rank(x, x) == (0.0, 1.0)
 
-    def test_too_few_nonzero_rejected(self):
+    def test_too_few_nonzero_give_no_p(self):
+        # One nonzero pair: W is its rank sum, but no p-value is given.
         x = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 2.0])
         y = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
-        with pytest.raises(ValueError, match="at least 5"):
-            wilcoxon_signed_rank(x, y)
+        assert wilcoxon_signed_rank(x, y) == (0.0, None)
+        for n in range(1, 5):
+            statistic, p = wilcoxon_signed_rank(np.arange(1.0, n + 1),
+                                                np.zeros(n))
+            assert (statistic, p) == (0.0, None), n
+        assert wilcoxon_signed_rank([1.0, -2.0, 3.0], np.zeros(3)) == \
+            (2.0, None)
 
 
 class TestRuntimeRatios:

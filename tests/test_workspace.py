@@ -13,10 +13,10 @@ import threading
 import numpy as np
 import pytest
 
-from quasar_opt import (DeConfig, QuasarConfig, de_optimize, make_suite,
-                        optimize)
+from quasar_opt import (BoundsBox, DeConfig, QuasarConfig, de_optimize,
+                        make_suite, optimize, sobol_sample)
 from quasar_opt.benchmarks import BASE_FUNCTIONS
-from quasar_opt.core import work_array
+from quasar_opt.core import _work, work_array
 
 RUNS = [(optimize, QuasarConfig), (de_optimize, DeConfig)]
 
@@ -60,6 +60,20 @@ class TestWorkArray:
         t.join(timeout=60)
         assert not t.is_alive()
         assert not np.shares_memory(mine, theirs[0])
+
+    def test_sobol_takes_no_slot(self):
+        # A run draws once, so a slot would only pin the largest N x D
+        # buffer its thread ever drew.
+        slots = []
+
+        def draw():
+            sobol_sample(64, BoundsBox.cube(0.0, 1.0, 5))
+            slots.append(dict(vars(_work)))
+        t = threading.Thread(target=draw)
+        t.start()
+        t.join(timeout=60)
+        assert not t.is_alive()
+        assert slots == [{}]
 
 
 class Keeper:
