@@ -307,13 +307,16 @@ def mutants(x: np.ndarray, p, q, r, f) -> np.ndarray:
     return v
 
 
-def crossover(trials: np.ndarray, targets, cr, rng: RngStream) -> None:
+def crossover(trials: np.ndarray, targets, cr, rng: RngStream,
+              forced=(slice(0), slice(0))) -> None:
     """Binomial crossover in place: trials keeps its component where a
-    uniform draw is <= cr and takes the target's elsewhere; cr is a scalar
-    or a column of per-row rates. One rng.random draw of trials' shape; the
+    uniform draw is <= cr and at the (rows, columns) cells forced indexes
+    (DE's j_rand), and takes the target's elsewhere; cr is a scalar or a
+    column of per-row rates. One rng.random draw of trials' shape; the
     draws and the mask are the `uniform` and `keep` work arrays."""
     keep = np.greater(rng.random(out=work_array("uniform", trials.shape)),
                       cr, out=work_array("keep", trials.shape, bool))
+    keep[forced] = False
     np.copyto(trials, targets, where=keep)
 
 

@@ -47,44 +47,40 @@ class DeConfig(RunConfig):
         super().__post_init__()
 
 
-def _distinct_donors(rng: RngStream, n: int):
-    """Per target i: three donor indices, pairwise distinct and != i."""
+def _draw_indices(rng: RngStream, n: int, d: int):
+    """Per target i: three donor indices, pairwise distinct and != i, and
+    j_rand in [0, d), from one integers draw (bounds n-1, n-2, n-3, d)."""
     idx = np.arange(n)
-    r1 = rng.integers(0, n - 1, size=n)
+    r1, r2, r3, j_rand = rng.integers(
+        0, np.repeat((n - 1, n - 2, n - 3, d), n)).reshape(4, n)
     r1 += r1 >= idx
     # Each draw skips the taken indices in ascending order.
     lo, hi = np.minimum(idx, r1), np.maximum(idx, r1)
-    r2 = rng.integers(0, n - 2, size=n)
     r2 += r2 >= lo
     r2 += r2 >= hi
-    r3 = rng.integers(0, n - 3, size=n)
     r3 += r3 >= np.minimum(lo, r2)
     r3 += r3 >= np.minimum(np.maximum(r2, lo), hi)     # the middle one
     r3 += r3 >= np.maximum(hi, r2)
-    return r1, r2, r3
+    return r1, r2, r3, j_rand
 
 
 def _de_step(objective, bounds: BoundsBox, pop: Population, cfg: DeConfig,
              rng: RngStream) -> Population:
     """One DE/rand/1/bin generation: v = X_r1 + F*(X_r2 - X_r3), binomial
-    crossover with a forced mutant component (j_rand), greedy selection."""
-    n, d = pop.size, pop.dim
-    r1, r2, r3 = _distinct_donors(rng, n)
+    crossover (core.crossover keeps v at j_rand), greedy selection."""
+    r1, r2, r3, j_rand = _draw_indices(rng, pop.size, pop.dim)
     x = pop.positions
     trials = mutants(x, r1, r2, r3, cfg.f_weight)
     clip_to_bounds(trials, bounds)
-    # The mutant's component at j_rand survives crossover.
-    rows, j_rand = np.arange(n), rng.integers(0, d, size=n)
-    forced = trials[rows, j_rand]
-    crossover(trials, x, cfg.cr, rng)
-    trials[rows, j_rand] = forced
+    rows = np.arange(pop.size)
+    crossover(trials, x, cfg.cr, rng, forced=(rows, j_rand))
     trial_fit = evaluate_rows(objective, trials)
-    require_finite(trial_fit, pop.generation, range(n))
+    require_finite(trial_fit, pop.generation, rows)
 
     positions, fitness = x.copy(), pop.fitness.copy()
     select(positions, fitness, rows, trials, trial_fit)
     return Population(positions, fitness, pop.generation + 1,
-                      pop.eval_count + n)
+                      pop.eval_count + pop.size)
 
 
 def de_optimize(f, bounds: BoundsBox, cfg: Optional[DeConfig] = None) -> OptResult:

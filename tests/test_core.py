@@ -228,6 +228,47 @@ class TestRngStream:
         assert np.array_equal(a.random(100), b.random(100))
 
 
+class TestDrawMerges:
+    """The draw merges README allows: each uses the Philox stream exactly
+    as the separate draws it replaces, leaving the same next draw."""
+
+    @staticmethod
+    def assert_same_stream(a: RngStream, b: RngStream):
+        np.testing.assert_equal(a.generator.bit_generator.state,
+                                b.generator.bit_generator.state)
+        assert a.integers(0, 1000) == b.integers(0, 1000)
+        assert a.random() == b.random()
+
+    @pytest.mark.parametrize("n", [4, 5, 7, 100])
+    @pytest.mark.parametrize("d", [1, 10])
+    @pytest.mark.parametrize("odd_prefix", [0, 3])
+    def test_per_element_bounds_equal_scalar_bound_calls(self, n, d,
+                                                         odd_prefix):
+        # An odd-sized draw first leaves half of a 64-bit word buffered;
+        # n = 4 (and d = 1) make a zero-width range, which draws nothing.
+        a, b = RngStream(11), RngStream(11)
+        for rng in (a, b):
+            rng.integers(0, 9, size=odd_prefix)
+        highs = (n - 1, n - 2, n - 3, d)
+        separate = np.concatenate([a.integers(0, h, size=n) for h in highs])
+        merged = b.integers(0, np.repeat(highs, n))
+        assert np.array_equal(merged, separate)
+        self.assert_same_stream(a, b)
+
+    def test_two_random_draws_equal_one(self):
+        a, b = RngStream(3), RngStream(3)
+        assert np.array_equal(np.concatenate([a.random(5), a.random(5)]),
+                              b.random(10))
+        self.assert_same_stream(a, b)
+
+    def test_normal_equals_scaled_standard_normal(self):
+        a, b = RngStream(4), RngStream(4)
+        loc, scale = np.linspace(-2.0, 2.0, 7), 0.3
+        assert np.array_equal(a.normal(loc, scale, 7),
+                              loc + scale * b.generator.standard_normal(7))
+        self.assert_same_stream(a, b)
+
+
 class TestPopulation:
     def test_shape_validation(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ from oracles import binomial_crossover, greedy_select
 
 from quasar_opt import BoundsBox, DeConfig, Population, RngStream, de_optimize
 from quasar_opt.core import evaluate_rows
-from quasar_opt.de import _de_step, _distinct_donors
+from quasar_opt.de import _de_step, _draw_indices
 from quasar_opt.sampling import sobol_sample
 
 
@@ -24,23 +24,26 @@ def fresh_pop(objective, bounds, n):
 class TestDistinctDonors:
     def test_pairwise_distinct_and_not_target(self):
         rng = RngStream(0)
-        for n in (4, 5, 9, 30):
+        for n, d in ((4, 1), (5, 3), (9, 10), (30, 2)):
             for _ in range(50):
-                r1, r2, r3 = _distinct_donors(rng, n)
+                r1, r2, r3, j_rand = _draw_indices(rng, n, d)
                 idx = np.arange(n)
                 for a, b in ((r1, r2), (r1, r3), (r2, r3),
                              (r1, idx), (r2, idx), (r3, idx)):
                     assert np.all(a != b)
                 for r in (r1, r2, r3):
                     assert np.all((0 <= r) & (r < n))
+                assert np.all((0 <= j_rand) & (j_rand < d))
 
     def test_donors_cover_all_indices(self):
         rng = RngStream(1)
-        seen = set()
+        seen, seen_j = set(), set()
         for _ in range(200):
-            r1, _, _ = _distinct_donors(rng, 6)
+            r1, _, _, j_rand = _draw_indices(rng, 6, 4)
             seen.update(r1.tolist())
+            seen_j.update(j_rand.tolist())
         assert seen == set(range(6))
+        assert seen_j == set(range(4))
 
 
 class TestDegenerateOperators:
@@ -138,7 +141,9 @@ def test_trials_match_the_oracle_and_keep_the_mutant_at_j_rand():
     """_de_step's trials equal the per-individual reference fed the same
     stream: mutant X_r1 + F (X_r2 - X_r3), clipped, binomial crossover with
     the target, and the mutant's component at j_rand whatever the draw. The
-    next population is the per-individual greedy selection."""
+    next population is the per-individual greedy selection. The reference
+    draws r1, r2, r3 and j_rand in four scalar-bound calls, so the step's
+    single merged draw must use the stream the same way."""
     n, d = 12, 6
     bounds = BoundsBox.cube(-5.0, 5.0, d)
     seen = []
@@ -149,11 +154,18 @@ def test_trials_match_the_oracle_and_keep_the_mutant_at_j_rand():
     new = _de_step(obj, bounds, pop, cfg, RngStream(9))
 
     rng = RngStream(9)
-    r1, r2, r3 = _distinct_donors(rng, n)
-    j_rand = rng.integers(0, d, size=n)
+    r1, r2, r3, j_rand = (rng.integers(0, high, size=n)
+                          for high in (n - 1, n - 2, n - 3, d))
     x, forced = pop.positions, 0
     expected = np.empty((n, d))
     for i in range(n):
+        # Each donor skips the target and the donors drawn before it.
+        taken = [i]
+        for r in (r1, r2, r3):
+            for t in sorted(taken):
+                r[i] += r[i] >= t
+            taken.append(r[i])
+        assert len(set(taken)) == 4
         v = np.clip(x[r1[i]] + cfg.f_weight * (x[r2[i]] - x[r3[i]]),
                     bounds.low, bounds.high)
         expected[i] = binomial_crossover(x[i], v, cfg.cr, rng)

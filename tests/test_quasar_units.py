@@ -185,6 +185,24 @@ class TestSharedCrossoverMatchesOracle:
     def test_scalar_rate(self):
         self.check(0.9)
 
+    def test_forced_cells_keep_the_trial(self):
+        seed, m, d = 5, 40, 7
+        g = np.random.default_rng(seed)
+        targets, trials = g.uniform(-5.0, 5.0, (2, m, d))
+        rows, cols = np.arange(m), g.integers(0, d, m)
+        rng = RngStream(seed)
+        expected = np.array([binomial_crossover(x, v, 0.3, rng)
+                             for x, v in zip(targets, trials)])
+        after = rng.random()
+        # Some forced cells would have taken the target's component.
+        assert (expected[rows, cols] != trials[rows, cols]).any()
+        mixed, rng = trials.copy(), RngStream(seed)
+        crossover(mixed, targets, 0.3, rng, forced=(rows, cols))
+        assert rng.random() == after        # the same uniform draw
+        assert np.array_equal(mixed[rows, cols], trials[rows, cols])
+        expected[rows, cols] = trials[rows, cols]
+        assert np.array_equal(mixed, expected)
+
 
 class TestSharedSelectMatchesOracle:
     """core.select, on a population, equals the one-individual oracle
