@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import os
 from contextlib import nullcontext
@@ -238,16 +239,20 @@ def _check_same_results(plan_path: Path, plan: ExperimentPlan) -> None:
         )
 
 
-def _drop_torn_row(records_path: Path) -> int:
-    """Cut a final row that lacks its newline (a kill mid-write), so its
-    trial reruns, and return the bytes kept. Every complete row ends in a
-    newline."""
-    with open(records_path, "rb+") as fh:
-        data = fh.read()
-        kept = data.rfind(b"\n") + 1
-        if kept < len(data):
-            fh.truncate(kept)
-    return kept
+def _complete_lines(path) -> bytes:
+    """The bytes of ``path`` up to its last newline. A line exists once its
+    newline is written, so a tail torn by a kill mid-write is never read,
+    and the next append cuts it."""
+    data = Path(path).read_bytes()
+    return data[:data.rfind(b"\n") + 1]
+
+
+def _write_whole(path: Path, text: str) -> None:
+    """Write ``text`` aside and rename it into place. A whole file exists
+    once it is renamed, so a kill never leaves it torn."""
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(text)
+    os.replace(tmp, path)
 
 
 def _pool(workers: int):
@@ -262,12 +267,13 @@ def _pool(workers: int):
 def run_plan(plan: ExperimentPlan, out_dir) -> SummaryTable:
     """Run every trial of the plan, append records, then summarize.
 
-    Existing rows in ``out_dir/records.csv`` are treated as completed and
-    skipped, so rerunning a finished directory performs no optimizer
-    executions; a torn final row or header is dropped and rewritten.
-    ValueError is raised before any trial runs or plan.json is written
-    when plan.json is unreadable or differs in a RESULT_FIELDS entry, when
-    a row's gmax or seed is not this plan's, when records.csv has rows but
+    Rows of ``out_dir/records.csv`` are read as ``load_records`` reads them
+    and skipped as completed, so rerunning a finished directory performs
+    no optimizer executions; a torn final row or header is cut when the
+    file is opened for appending, and its trial reruns. ValueError is
+    raised before any file or directory is created, cut or renamed when
+    plan.json is unreadable or differs in a RESULT_FIELDS entry, when a
+    row's gmax or seed is not this plan's, when records.csv has rows but
     plan.json is missing, or when QUASAR_WORKERS is not an integer >= 1.
     Returns the SummaryTable also written to summary.json.
     """
@@ -279,11 +285,11 @@ def run_plan(plan: ExperimentPlan, out_dir) -> SummaryTable:
     if workers < 1:
         raise ValueError(f"{WORKERS_ENV} must be an integer >= 1, got {text!r}")
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     records_path = out / "records.csv"
     _check_same_results(out / "plan.json", plan)
+    kept = _complete_lines(records_path) if records_path.exists() else b""
     done = set()
-    if records_path.exists() and _drop_torn_row(records_path):
+    if kept:
         # A row with another gmax, or a seed this plan's master seed does
         # not derive, was written by another plan. load_records skips blank
         # lines, which run_plan never writes.
@@ -298,13 +304,8 @@ def run_plan(plan: ExperimentPlan, out_dir) -> SummaryTable:
         if done and not (out / "plan.json").exists():
             raise ValueError(f"{records_path} has rows but {out / 'plan.json'}"
                              " is missing, so their suite_seed is unknown")
-    else:
-        # A new directory, or a kill while the header was being written.
-        records_path.write_text(CSV_HEADER + "\n")
-    # Write aside and rename, so a kill never leaves a torn plan.json.
-    tmp = out / "plan.json.tmp"
-    tmp.write_text(json.dumps(asdict(plan), indent=2))
-    os.replace(tmp, out / "plan.json")
+    out.mkdir(parents=True, exist_ok=True)
+    _write_whole(out / "plan.json", json.dumps(asdict(plan), indent=2))
 
     jobs = [job for job in _plan_jobs(plan) if job.key not in done]
     trace_dir = str(out / "traces") if plan.save_traces else None
@@ -312,41 +313,40 @@ def run_plan(plan: ExperimentPlan, out_dir) -> SummaryTable:
     # A pool forks all its workers at the first submit, so never start more
     # workers than there are jobs.
     workers = min(workers, len(jobs))
-    with open(records_path, "a") as fh, _pool(workers) as pool:
+    with open(records_path, "ab") as fh, _pool(workers) as pool:
+        fh.truncate(len(kept))    # a torn final row or header
+        if not kept:
+            fh.write(CSV_HEADER.encode() + b"\n")
         # Either map yields in submission order, which is canonical order.
         for record in (pool.map if pool else map)(trial, jobs):
-            fh.write(record.csv_row() + "\n")
+            fh.write(record.csv_row().encode() + b"\n")
             fh.flush()
 
     return emit_summary(records_path)
 
 
 def load_records(path) -> List[TrialRecord]:
-    """Parse a records CSV; malformed rows are reported with line numbers."""
+    """Parse the complete lines of a records CSV, the rows ``run_plan``
+    skips on resume; malformed rows are reported with line numbers."""
     records = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    reader = csv.reader(io.StringIO(_complete_lines(path).decode(), newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ValueError(f"{path}: empty records file") from None
+    if ",".join(header) != CSV_HEADER:
+        raise ValueError(f"{path}: line 1: bad header {','.join(header)!r}")
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(_PARSERS):
+            raise ValueError(f"{path}: line {lineno}: expected "
+                             f"{len(_PARSERS)} fields, got {len(row)}")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty records file") from None
-        if ",".join(header) != CSV_HEADER:
-            raise ValueError(
-                f"{path}: line 1: bad header {','.join(header)!r}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(_PARSERS):
-                raise ValueError(f"{path}: line {lineno}: expected "
-                                 f"{len(_PARSERS)} fields, got {len(row)}")
-            try:
-                records.append(TrialRecord(
-                    *(parse(v) for parse, v in zip(_PARSERS, row))))
-            except ValueError as exc:
-                raise ValueError(
-                    f"{path}: line {lineno}: {exc}"
-                ) from None
+            records.append(TrialRecord(
+                *(parse(v) for parse, v in zip(_PARSERS, row))))
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from None
     return records
 
 
@@ -456,9 +456,8 @@ def emit_summary(records_path) -> SummaryTable:
     out = Path(records_path).parent
     table = summarize_records(load_records(records_path))
 
-    (out / "summary.json").write_text(
-        json.dumps(asdict(table), indent=2, sort_keys=True) + "\n"
-    )
+    _write_whole(out / "summary.json",
+                 json.dumps(asdict(table), indent=2, sort_keys=True) + "\n")
     lines = ["algo,function,dim,pop,gm_error,mean_runtime_sec"]
     for sc in table.scenarios:
         for algo in table.algorithms:
@@ -468,5 +467,5 @@ def emit_summary(records_path) -> SummaryTable:
                 f"{algo},{sc.function},{sc.dim},{sc.pop},"
                 f"{repr(sc.gm_error[algo])},{repr(sc.mean_runtime[algo])}"
             )
-    (out / "plot_data.csv").write_text("\n".join(lines) + "\n")
+    _write_whole(out / "plot_data.csv", "\n".join(lines) + "\n")
     return table

@@ -5,6 +5,7 @@ import hashlib
 import json
 import multiprocessing
 import os
+import shutil
 import tempfile
 from pathlib import Path
 from types import SimpleNamespace
@@ -42,6 +43,34 @@ TINY = dict(dims=[5], pop_sizes=[20], g_max=5, trials=3,
 def read_rows(path):
     lines = Path(path).read_text().strip().splitlines()
     return lines[0], [line.split(",") for line in lines[1:]]
+
+
+@pytest.fixture(scope="module")
+def finished_run(tmp_path_factory):
+    """A finished run of TINY with both algorithms; tests copy it before
+    they change it."""
+    out = tmp_path_factory.mktemp("finished")
+    run_plan(ExperimentPlan(**TINY), out)
+    return out
+
+
+class Killed(Exception):
+    pass
+
+
+def kill_mid_write(monkeypatch, name):
+    """Make Path.write_text write only the first 10 characters of a file
+    whose name starts with ``name``, then raise Killed, as a kill mid-write
+    would."""
+    real_write = Path.write_text
+
+    def killed_mid_write(path, text, *args, **kwargs):
+        if path.name.startswith(name):
+            real_write(path, text[:10], *args, **kwargs)
+            raise Killed
+        return real_write(path, text, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", killed_mid_write)
 
 
 @pytest.fixture
@@ -217,10 +246,10 @@ class TestRunPlan:
         run_plan(plan, tmp_path)
         path = tmp_path / "records.csv"
         _, finished = read_rows(path)
-        # Cut inside the last row's final field: it still parses, with a
-        # wrong evals count, but has no newline.
+        # Cut inside the last row's final field: it has no newline, so it
+        # is not read, though its fields would still parse.
         path.write_bytes(path.read_bytes()[:-2])
-        assert len(load_records(path)) == 3
+        assert len(load_records(path)) == 2
         run_plan(plan, tmp_path)
         _, rows = read_rows(path)
         strip = lambda rows: [r[:8] + r[9:] for r in rows]  # drop runtime col
@@ -246,24 +275,29 @@ class TestRunPlan:
         plan = ExperimentPlan(algorithms=["quasar"], **TINY)
         run_plan(plan, tmp_path)
         plan_json = (tmp_path / "plan.json").read_text()
-        real_write = Path.write_text
-
-        class Killed(Exception):
-            pass
-
-        def killed_mid_write(path, text, *args, **kwargs):
-            if path.name.startswith("plan.json"):
-                real_write(path, text[:10], *args, **kwargs)
-                raise Killed
-            return real_write(path, text, *args, **kwargs)
-
-        monkeypatch.setattr(Path, "write_text", killed_mid_write)
+        kill_mid_write(monkeypatch, "plan.json")
         with pytest.raises(Killed):
             run_plan(plan, tmp_path)
         monkeypatch.undo()
         assert (tmp_path / "plan.json").read_text() == plan_json
         run_plan(plan, tmp_path)
         assert (tmp_path / "plan.json").read_text() == plan_json
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "plan.json", "plot_data.csv", "records.csv", "summary.json"]
+
+    @pytest.mark.parametrize("name", ["summary.json", "plot_data.csv"])
+    def test_summary_files_survive_a_kill_mid_write(self, tmp_path,
+                                                    monkeypatch, name):
+        plan = ExperimentPlan(**TINY)
+        run_plan(plan, tmp_path)
+        before = (tmp_path / name).read_bytes()
+        kill_mid_write(monkeypatch, name)
+        with pytest.raises(Killed):
+            run_plan(plan, tmp_path)
+        monkeypatch.undo()
+        assert (tmp_path / name).read_bytes() == before
+        run_plan(plan, tmp_path)
+        assert (tmp_path / name).read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "plan.json", "plot_data.csv", "records.csv", "summary.json"]
 
@@ -332,9 +366,38 @@ class TestRunPlan:
         assert path.read_bytes() == records
         assert not (tmp_path / "plan.json").exists()
 
+    @pytest.mark.parametrize("gmax,message", [
+        ("5", "has rows but {out}/plan.json is missing"),
+        ("7", "line 2: gmax 5 and seed"),
+    ], ids=["no_plan_json", "gmax"])
+    def test_refused_resume_changes_no_byte(self, tmp_path, capsys,
+                                            monkeypatch, finished_run, gmax,
+                                            message):
+        # The torn last row must survive a refusal: only a run that goes
+        # ahead cuts it.
+        out = tmp_path / "d"
+        shutil.copytree(finished_run, out)
+        (out / "plan.json").unlink()
+        path = out / "records.csv"
+        path.write_bytes(path.read_bytes()[:-2])
+        torn = path.read_bytes()
+
+        def no_trial(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(harness, "run_trial", no_trial)
+        capsys.readouterr()
+        assert cli_main(["run", "--dims", "5", "--pops", "20", "--gmax", gmax,
+                         "--trials", "3", "--seed", "7", "--functions",
+                         "sphere", "--out", str(out)]) == 2
+        assert message.format(out=out) in capsys.readouterr().err
+        assert path.read_bytes() == torn
+        assert sorted(p.name for p in out.iterdir()) == [
+            "plot_data.csv", "records.csv", "summary.json"]
+
     def test_header_only_records_without_plan_json_start_fresh(self, tmp_path):
-        # What a kill between the header write and the plan.json replace
-        # leaves behind.
+        # A header-only records.csv holds no row that plan.json would have
+        # to vouch for.
         plan = ExperimentPlan(algorithms=["quasar"], **TINY)
         run_plan(plan, tmp_path / "fresh")
         (tmp_path / "records.csv").write_text(CSV_HEADER + "\n")
@@ -732,6 +795,25 @@ class TestCli:
         assert cli_main(["summarize", "--in", str(out)]) == 0
         captured = capsys.readouterr()
         assert "friedman rank sums" in captured.out
+
+    @pytest.mark.parametrize("field", range(len(CSV_HEADER.split(","))),
+                             ids=CSV_HEADER.split(","))
+    def test_summarize_leaves_a_torn_final_row_unread(self, tmp_path,
+                                                      finished_run, field):
+        # A kill mid-row can tear the last row inside any of its fields.
+        # Each directory holds only its records, so both summaries are new.
+        data = (finished_run / "records.csv").read_bytes()
+        start = data.rfind(b"\n", 0, -1) + 1
+        last = data[start:-1].split(b",")
+        cut = (start + sum(len(v) + 1 for v in last[:field])
+               + max(1, len(last[field]) // 2))
+        torn, whole = tmp_path / "torn", tmp_path / "whole"
+        for out, records in ((torn, data[:cut]), (whole, data[:start])):
+            out.mkdir()
+            (out / "records.csv").write_bytes(records)
+            assert cli_main(["summarize", "--in", str(out)]) == 0
+        for name in ("summary.json", "plot_data.csv"):
+            assert (torn / name).read_bytes() == (whole / name).read_bytes()
 
     def test_summarize_missing_directory_creates_nothing(self, tmp_path,
                                                          capsys):
