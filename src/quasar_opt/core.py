@@ -77,29 +77,46 @@ def clip_to_bounds(y: np.ndarray, bounds: BoundsBox) -> np.ndarray:
     return np.minimum(y, bounds.high, out=y)
 
 
-def check_objective(f, dim: int) -> None:
-    """Refuse, before a run starts, an objective that evaluate_rows cannot
-    call or whose `dim` attribute differs from the bounds' dimension."""
-    if not (callable(f) or hasattr(f, "evaluate_many")
-            or hasattr(f, "evaluate")):
-        raise TypeError("objective must be callable or have an evaluate "
-                        "or evaluate_many method")
-    if getattr(f, "dim", dim) != dim:
-        raise ValueError(f"objective dim {f.dim} != bounds dim {dim}")
+def evaluate_rows(objective, X: np.ndarray, generation: int,
+                  members) -> np.ndarray:
+    """The one place an objective is called, and the whole of its contract.
 
-
-def evaluate_rows(objective, X: np.ndarray) -> np.ndarray:
-    """The one place an objective is called: `evaluate_many(X)` (an (n, D)
-    matrix to an (n,) vector) when the objective has it, else `evaluate(x)`,
-    or the objective itself, once per row.
+    Before any call, refuse an objective with none of the three forms
+    (TypeError) or a `dim` attribute other than X.shape[1] (ValueError).
+    Zero rows get an empty vector and no call. Otherwise call
+    `evaluate_many(X)` (an (n, D) matrix to an (n,) vector) when the
+    objective has it, else `evaluate(x)`, or the objective itself, once per
+    row, and raise ValueError naming the generation unless that gives one
+    finite value per row; members[k], the individual whose point is X[k],
+    is named for a non-finite value k.
 
     The objective must be deterministic and return finite values for
     in-bounds input; an optional `known_optimum` attribute (the true minimum
     value) makes OptResult.error relative to it."""
-    if hasattr(objective, "evaluate_many"):
-        return np.asarray(objective.evaluate_many(X), dtype=float)
+    many = getattr(objective, "evaluate_many", None)
     call = getattr(objective, "evaluate", objective)
-    return np.array([call(row) for row in X], dtype=float)
+    if many is None and not callable(call):
+        raise TypeError("objective must be callable or have an evaluate "
+                        "or evaluate_many method")
+    n, dim = X.shape
+    if getattr(objective, "dim", dim) != dim:
+        raise ValueError(f"objective dim {objective.dim} != bounds dim {dim}")
+    if not n:
+        return np.empty(0)
+    if many is not None:
+        values = np.asarray(many(X), dtype=float)
+    else:
+        values = np.array([call(row) for row in X], dtype=float)
+    if values.shape != (n,):
+        raise ValueError(
+            f"objective returned {values.size} values (shape {values.shape}) "
+            f"for {n} points at generation {generation}")
+    if not np.isfinite(values).all():
+        k = int(np.argmax(~np.isfinite(values)))
+        raise ValueError(
+            f"objective returned a non-finite value ({values[k]}) at "
+            f"generation {generation} for individual {int(members[k])}")
+    return values
 
 
 _work = threading.local()
@@ -185,23 +202,6 @@ def require_real(name: str, value, positive: bool = True) -> None:
             or not math.isfinite(value) or (positive and value <= 0)):
         kind = "finite positive" if positive else "finite"
         raise ValueError(f"{name} must be a {kind} number, got {value!r}")
-
-
-def require_finite(values: np.ndarray, generation: int, indices) -> None:
-    """Raise ValueError naming the generation unless values holds one value
-    per individual in indices, and naming the individual (indices[k] for
-    values[k]) of the first non-finite value."""
-    if values.shape != (len(indices),):
-        raise ValueError(
-            f"objective returned {values.size} values (shape {values.shape}) "
-            f"for {len(indices)} points at generation {generation}")
-    if np.isfinite(values).all():
-        return
-    k = int(np.argmax(~np.isfinite(values)))
-    raise ValueError(
-        f"objective returned a non-finite value ({values[k]}) at "
-        f"generation {generation} for individual {int(indices[k])}"
-    )
 
 
 class InitMethod(Enum):
@@ -337,22 +337,21 @@ def select(positions: np.ndarray, fitness: np.ndarray, idx: np.ndarray,
 
 def run_generations(objective, bounds: BoundsBox, cfg: RunConfig,
                     initial_population, evaluate, advance) -> OptResult:
-    """The run both optimizers share: check the objective, draw the initial
-    population with initial_population(method, n, bounds, rng), start the
-    clock, evaluate the population with evaluate(objective, X), then apply
-    advance(pop, rng) cfg.g_max times, tracking the best-so-far point (a
-    copy; ties go to the lowest index) and trace. The clock leaves out the
-    draw, and with it any table the initializer builds once per process.
+    """The run both optimizers share: draw the initial population with
+    initial_population(method, n, bounds, rng), start the clock, evaluate
+    the population with evaluate(objective, X, 0, range(n)), which refuses
+    a bad objective before its first call, then apply advance(pop, rng)
+    cfg.g_max times, tracking the best-so-far point (a copy; ties go to the
+    lowest index) and trace. The clock leaves out the draw, and with it any
+    table the initializer builds once per process.
     Only the generation-0 population holds the initial rows, so they are
     freed once generation 1 replaces it."""
-    check_objective(objective, bounds.dim)
     n = cfg.resolved_pop_size(bounds.dim)
     rng = RngStream(cfg.seed)
     positions = initial_population(cfg.init_method, n, bounds, rng)
 
     t0 = time.perf_counter()
-    fitness = evaluate(objective, positions)
-    require_finite(fitness, 0, range(n))
+    fitness = evaluate(objective, positions, 0, range(n))
     pop = Population(positions, fitness, generation=0, eval_count=n)
     del positions
     best_fit = math.inf

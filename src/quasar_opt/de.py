@@ -17,7 +17,6 @@ from .core import (
     crossover,
     evaluate_rows,
     mutants,
-    require_finite,
     require_real,
     run_generations,
     select,
@@ -74,8 +73,7 @@ def _de_step(objective, bounds: BoundsBox, pop: Population, cfg: DeConfig,
     clip_to_bounds(trials, bounds)
     rows = np.arange(pop.size)
     crossover(trials, x, cfg.cr, rng, forced=(rows, j_rand))
-    trial_fit = evaluate_rows(objective, trials)
-    require_finite(trial_fit, pop.generation, rows)
+    trial_fit = evaluate_rows(objective, trials, pop.generation, rows)
 
     positions, fitness = x.copy(), pop.fitness.copy()
     select(positions, fitness, rows, trials, trial_fit)

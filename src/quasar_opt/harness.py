@@ -172,7 +172,7 @@ def derive_seed(master_seed: int, algo: str, function: str, dim: int,
                 pop: int, trial: int) -> int:
     """Stable 64-bit trial seed from the plan coordinates (SHA-256)."""
     key = f"{master_seed}|{algo}|{function}|{dim}|{pop}|{trial}"
-    digest = hashlib.sha256(key.encode("ascii")).digest()
+    digest = hashlib.sha256(key.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
 
 
@@ -291,8 +291,7 @@ def run_plan(plan: ExperimentPlan, out_dir) -> SummaryTable:
     done = set()
     if kept:
         # A row with another gmax, or a seed this plan's master seed does
-        # not derive, was written by another plan. load_records skips blank
-        # lines, which run_plan never writes.
+        # not derive, was written by another plan.
         for lineno, rec in enumerate(load_records(records_path), start=2):
             seed = derive_seed(plan.master_seed, *rec.key)
             if (rec.gmax, rec.seed) != (plan.g_max, seed):
@@ -337,8 +336,6 @@ def load_records(path) -> List[TrialRecord]:
     if ",".join(header) != CSV_HEADER:
         raise ValueError(f"{path}: line 1: bad header {','.join(header)!r}")
     for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
         if len(row) != len(_PARSERS):
             raise ValueError(f"{path}: line {lineno}: expected "
                              f"{len(_PARSERS)} fields, got {len(row)}")

@@ -25,7 +25,6 @@ from .core import (
     evaluate_rows,
     mutants,
     rank_population,
-    require_finite,
     require_real,
     run_generations,
     select,
@@ -266,40 +265,36 @@ def step(objective, bounds: BoundsBox, pop: Population, cfg: QuasarConfig,
         stats = compute_elite_stats(pop, cfg.elite_fraction, cfg.epsilon_jitter)
         new_pos, fallback = sample_reinit_positions(
             stats, bounds, rng, cfg.noise_divisor, chosen.size)
-        new_fit = evaluate_rows(objective, new_pos)
-        require_finite(new_fit, pop.generation, chosen)
         positions[chosen] = new_pos
-        fitness[chosen] = new_fit
+        fitness[chosen] = evaluate_rows(objective, new_pos, pop.generation,
+                                        chosen)
 
     reinit_mask = np.zeros(n, dtype=bool)
     reinit_mask[chosen] = True
     var_idx = (~reinit_mask).nonzero()[0]
     m = var_idx.size
 
-    strategies, n_accepted = np.zeros(0, np.int8), 0
-    if m:       # else all were reinitialized: no zero-row objective call
-        best_idx = int(fitness.argmin())
-        strategies = select_strategy(rng, cfg.entangle_rate, size=m)
-        is_best = strategies == int(MutationStrategy.SPOOKY_BEST)
-        n_best = int(np.count_nonzero(is_best))
-        f = np.empty(m)
-        f[is_best] = sample_f_local(rng, size=n_best)
-        f[~is_best] = sample_f_global(rng, size=m - n_best)
-        r = rng.integers(0, n - 1, size=m)
-        rand_idx = r + (r >= var_idx)
+    best_idx = int(fitness.argmin())
+    strategies = select_strategy(rng, cfg.entangle_rate, size=m)
+    is_best = strategies == int(MutationStrategy.SPOOKY_BEST)
+    n_best = int(np.count_nonzero(is_best))
+    f = np.empty(m)
+    f[is_best] = sample_f_local(rng, size=n_best)
+    f[~is_best] = sample_f_global(rng, size=m - n_best)
+    r = rng.integers(0, n - 1, size=m)
+    rand_idx = r + (r >= var_idx)
 
-        trials = _build_mutants(positions, best_idx, var_idx, strategies, f,
-                                rand_idx)
-        clip_to_bounds(trials, bounds)
-        cr = crossover_rate(ranks[var_idx], n, cfg.cr_floor)
-        # The targets are a work array, done with before the objective runs.
-        targets = positions.take(var_idx, axis=0, mode="clip",
-                                 out=work_array("rows", (m, d)))
-        crossover(trials, targets, cr[:, None], rng)
-        trial_fit = evaluate_rows(objective, trials)
-        require_finite(trial_fit, pop.generation, var_idx)
-        n_accepted = int(np.count_nonzero(
-            select(positions, fitness, var_idx, trials, trial_fit)))
+    trials = _build_mutants(positions, best_idx, var_idx, strategies, f,
+                            rand_idx)
+    clip_to_bounds(trials, bounds)
+    cr = crossover_rate(ranks[var_idx], n, cfg.cr_floor)
+    # The targets are a work array, done with before the objective runs.
+    targets = positions.take(var_idx, axis=0, mode="clip",
+                             out=work_array("rows", (m, d)))
+    crossover(trials, targets, cr[:, None], rng)
+    trial_fit = evaluate_rows(objective, trials, pop.generation, var_idx)
+    n_accepted = int(np.count_nonzero(
+        select(positions, fitness, var_idx, trials, trial_fit)))
 
     new_pop = Population(positions, fitness, pop.generation + 1,
                          pop.eval_count + n)
@@ -319,7 +314,8 @@ def optimize(f, bounds: BoundsBox, cfg: Optional[QuasarConfig] = None) -> OptRes
     ----------
     f : callable or object
         Objective, lower is better: f(x), f.evaluate(x) or a batch
-        f.evaluate_many(X), as core.evaluate_rows calls it.
+        f.evaluate_many(X), as core.evaluate_rows calls it; that function
+        refuses a bad f before its first call and checks every value.
     bounds : BoundsBox
         Search box; every emitted position stays inside it.
     cfg : QuasarConfig, optional

@@ -99,7 +99,8 @@ def test_criterion_4_step_invariant_suite():
     for fn in functions:
         rng = RngStream(fn.name.__hash__() & 0xFFFF)
         positions = sobol_sample(30, fn.bounds)
-        pop = Population(positions, evaluate_rows(fn, positions), 0, 30)
+        pop = Population(positions, evaluate_rows(fn, positions, 0, range(30)),
+                         0, 30)
         best_so_far = pop.fitness.min()
         for _ in range(100):
             before = pop.fitness.copy()

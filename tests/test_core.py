@@ -130,7 +130,8 @@ class TestRunGenerations:
         result = run_generations(
             lambda x: 0.0, BoundsBox.cube(0.0, 100.0, 2), cfg,
             lambda method, n, bounds, rng: positions,
-            lambda objective, X: np.array(next(fitness)), advance)
+            lambda objective, X, generation, members: np.array(next(fitness)),
+            advance)
         return result, positions
 
     def test_tie_goes_to_lowest_index(self):
@@ -284,12 +285,13 @@ def square_sum(x):
 class TestEvaluateRows:
     def test_batch_and_row_paths_agree(self):
         X = np.arange(12.0).reshape(4, 3) - 5.0
-        rowwise = evaluate_rows(square_sum, X)
+        rowwise = evaluate_rows(square_sum, X, 0, range(4))
         assert rowwise.tolist() == [square_sum(x) for x in X]
         assert np.array_equal(
-            evaluate_rows(SimpleNamespace(evaluate=square_sum), X), rowwise)
+            evaluate_rows(SimpleNamespace(evaluate=square_sum), X, 0, range(4)),
+            rowwise)
         batched = SimpleNamespace(evaluate_many=lambda X: np.sum(X * X, axis=1))
-        assert np.array_equal(evaluate_rows(batched, X), rowwise)
+        assert np.array_equal(evaluate_rows(batched, X, 0, range(4)), rowwise)
 
     def test_batch_method_wins(self):
         def never(x):
@@ -297,15 +299,25 @@ class TestEvaluateRows:
 
         both = SimpleNamespace(evaluate=never,
                                evaluate_many=lambda X: X.sum(axis=1))
-        assert evaluate_rows(both, np.ones((2, 3))).tolist() == [3.0, 3.0]
+        assert evaluate_rows(both, np.ones((2, 3)), 0,
+                             range(2)).tolist() == [3.0, 3.0]
 
     def test_scalar_results_convert_as_float_does(self):
         results = [np.float32(0.1), 2**53 + 1, np.array(1 / 3), "2.5", True]
         got = evaluate_rows(lambda x: results[int(x[0])],
-                            np.arange(5.0)[:, None])
+                            np.arange(5.0)[:, None], 0, range(5))
         assert got.dtype == np.float64
         assert [v.hex() for v in got.tolist()] == \
             [float(r).hex() for r in results]
+
+    def test_zero_rows_call_nothing(self):
+        def never(*args):
+            raise AssertionError("objective called")
+
+        both = SimpleNamespace(evaluate=never, evaluate_many=never)
+        for objective in (never, SimpleNamespace(evaluate=never), both):
+            got = evaluate_rows(objective, np.empty((0, 3)), 2, [])
+            assert got.dtype == np.float64 and got.shape == (0,)
 
 
 RUNS = [(optimize, QuasarConfig), (de_optimize, DeConfig)]

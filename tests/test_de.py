@@ -17,7 +17,7 @@ def sphere_objective(dim):
 
 def fresh_pop(objective, bounds, n):
     positions = sobol_sample(n, bounds)
-    fitness = evaluate_rows(objective, positions)
+    fitness = evaluate_rows(objective, positions, 0, range(n))
     return Population(positions, fitness, 0, n)
 
 

@@ -395,6 +395,49 @@ class TestRunPlan:
         assert sorted(p.name for p in out.iterdir()) == [
             "plot_data.csv", "records.csv", "summary.json"]
 
+    def test_non_ascii_function_row_refused_as_foreign(self, tmp_path,
+                                                       capsys, finished_run):
+        # derive_seed hashes the key's UTF-8 bytes, so a row naming a
+        # function outside ASCII is checked like any other row.
+        out = tmp_path / "d"
+        shutil.copytree(finished_run, out)
+        path = out / "records.csv"
+        data = path.read_bytes().replace(b",sphere,", ",sphère,".encode(), 1)
+        path.write_bytes(data)
+        algo, function, dim, pop, gmax, trial, seed = \
+            data.decode().splitlines()[1].split(",")[:7]
+        capsys.readouterr()
+        assert cli_main(["run", "--dims", "5", "--pops", "20", "--gmax", "5",
+                         "--trials", "3", "--seed", "7", "--functions",
+                         "sphere", "--out", str(out)]) == 2
+        expected = derive_seed(7, algo, function, int(dim), int(pop),
+                               int(trial))
+        assert f"{path}: line 2: gmax 5 and seed {seed} are not this " \
+               f"plan's (5, {expected})" in capsys.readouterr().err
+        assert path.read_bytes() == data
+
+    def test_blank_line_refused_with_its_number(self, tmp_path, capsys,
+                                                finished_run):
+        # A blank line is a malformed row, so the foreign row after it
+        # cannot be reported under another line number.
+        out = tmp_path / "d"
+        shutil.copytree(finished_run, out)
+        path = out / "records.csv"
+        header, first, second, third, *rest = \
+            path.read_text().splitlines(True)
+        fields = third.split(",")
+        fields[6] = str(int(fields[6]) + 1)
+        data = "".join([header, first, "\n", second, ",".join(fields), *rest])
+        path.write_text(data)
+        for args in (["run", "--dims", "5", "--pops", "20", "--gmax", "5",
+                      "--trials", "3", "--seed", "7", "--functions", "sphere",
+                      "--out", str(out)], ["summarize", "--in", str(out)]):
+            capsys.readouterr()
+            assert cli_main(args) == 2
+            assert f"{path}: line 3: expected 10 fields, got 0" in \
+                capsys.readouterr().err
+            assert path.read_text() == data
+
     def test_header_only_records_without_plan_json_start_fresh(self, tmp_path):
         # A header-only records.csv holds no row that plan.json would have
         # to vouch for.

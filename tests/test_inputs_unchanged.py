@@ -33,7 +33,7 @@ def suite_case(name="rastrigin", dim=8, n=40):
     # A spread population, some of it on the bounds, so clipping acts.
     positions = RngStream(5).uniform(-150.0, 150.0, (n, dim))
     positions = np.clip(positions, fn.bounds.low, fn.bounds.high)
-    fitness = evaluate_rows(fn, positions)
+    fitness = evaluate_rows(fn, positions, 0, range(n))
     return fn, Population(positions, fitness, generation=0, eval_count=n)
 
 

@@ -26,7 +26,7 @@ def sphere_objective(dim):
 
 def fresh_pop(objective, bounds, n):
     positions = sobol_sample(n, bounds)
-    fitness = evaluate_rows(objective, positions)
+    fitness = evaluate_rows(objective, positions, 0, range(n))
     return Population(positions, fitness, 0, n)
 
 
@@ -91,6 +91,32 @@ class TestStep:
         pop = fresh_pop(obj, bounds, 30)
         _, info = step(obj, bounds, pop, cfg, RngStream(4))
         assert info.strategy_counts.sum() == 30 - info.n_reinit
+
+
+def never(x):
+    raise AssertionError("objective called")
+
+
+# int(0.05 * 10) is 0, so no member is reinitialized and the trials are the
+# step's first evaluation; at 0.33 three members are, and theirs is.
+@pytest.mark.parametrize("reinit_fraction", [0.33, 0.05])
+@pytest.mark.parametrize("objective,error", [
+    (SimpleNamespace(dim=5, evaluate=never), ValueError),
+    (SimpleNamespace(dim=4), TypeError),
+], ids=["wrong_dim", "no_form"])
+def test_step_refuses_what_optimize_refuses(objective, error,
+                                            reinit_fraction):
+    bounds = BoundsBox.cube(-2.0, 3.0, 4)
+    cfg = QuasarConfig(pop_size=10, g_max=5, reinit_fraction=reinit_fraction)
+    pop = fresh_pop(sphere_objective(4), bounds, 10)
+    with pytest.raises(error) as stepped:
+        step(objective, bounds, pop, cfg, RngStream(0))
+    with pytest.raises(error) as optimized:
+        optimize(objective, bounds, cfg)
+    assert str(stepped.value) == str(optimized.value) == {
+        ValueError: "objective dim 5 != bounds dim 4",
+        TypeError: "objective must be callable or have an evaluate or "
+                   "evaluate_many method"}[error]
 
 
 class TestMechanismIsolation:

@@ -64,7 +64,8 @@ def oracle_step(objective, bounds, pop, cfg, rng):
         new_pos, fallback = sample_reinit_positions(
             stats, bounds, rng, cfg.noise_divisor, len(chosen))
         positions[chosen] = new_pos
-        fitness[chosen] = evaluate_rows(objective, new_pos)
+        fitness[chosen] = evaluate_rows(objective, new_pos, pop.generation,
+                                        chosen)
 
     var_idx = [i for i in range(n) if i not in chosen]
     m = len(var_idx)
@@ -85,7 +86,8 @@ def oracle_step(objective, bounds, pop, cfg, rng):
         trials.append(binomial_crossover(snapshot.positions[i], v, cr, rng))
     n_accepted = 0
     if m:
-        trial_fit = evaluate_rows(objective, np.array(trials))
+        trial_fit = evaluate_rows(objective, np.array(trials), pop.generation,
+                                  var_idx)
         for i, u, fu in zip(var_idx, trials, trial_fit):
             n_accepted += bool(fu < fitness[i])
             positions[i], fitness[i] = greedy_select(positions[i],
@@ -105,7 +107,7 @@ def test_step_equals_the_scalar_oracles(seed, reinit_fraction):
     cfg = QuasarConfig(pop_size=n, g_max=g_max, seed=seed,
                        reinit_fraction=reinit_fraction)
     x0 = sobol_sample(n, bounds)
-    pop = Population(x0, evaluate_rows(objective, x0), 0, n)
+    pop = Population(x0, evaluate_rows(objective, x0, 0, range(n)), 0, n)
     rng, replay = RngStream(seed), RngStream(seed)
     seen = set()
     for _ in range(g_max):
