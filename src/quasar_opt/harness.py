@@ -22,6 +22,7 @@ import hashlib
 import io
 import json
 import os
+from collections.abc import Iterable
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, fields, replace
 from functools import lru_cache, partial
@@ -118,40 +119,39 @@ class ExperimentPlan:
     save_traces: bool = False
 
     def __post_init__(self):
-        # Tuples, so a checked plan cannot be changed in place.
-        for name in ("dims", "pop_sizes", "algorithms", "functions"):
-            if getattr(self, name) is not None:
-                object.__setattr__(self, name, tuple(getattr(self, name)))
         if self.mode not in ("dim", "sample", "custom"):
             raise ValueError(f"unknown mode: {self.mode!r}")
         require_int("g_max", self.g_max, 0)
         require_int("trials", self.trials, 1)
         require_int("master_seed", self.master_seed)
         require_int("suite_seed", self.suite_seed, 0)
-        if not self.dims or not self.pop_sizes:
-            raise ValueError("dims and pop_sizes must be nonempty")
+        for name in ("dims", "pop_sizes", "algorithms", "functions"):
+            values = getattr(self, name)
+            if name == "functions" and values is None:
+                continue
+            # A string would be read as a list of its letters.
+            if isinstance(values, str) or not isinstance(values, Iterable):
+                raise ValueError(f"{name} must be a list, got {values!r}")
+            # Tuples, so a checked plan cannot be changed in place.
+            values = tuple(values)
+            object.__setattr__(self, name, values)
+            if not values:
+                suite = " (None runs the suite)" if name == "functions" else ""
+                raise ValueError(f"{name} must be nonempty{suite}")
+            repeated = {v for v in values if values.count(v) > 1}
+            if repeated:
+                raise ValueError(f"{name} repeats {sorted(repeated)}")
         for dim in self.dims:
             require_int("dims", dim)
         if min(self.dims) < 2:
             raise ValueError("suite functions need dimension >= 2")
-        unknown = set(self.algorithms) - set(ALGORITHMS)
-        if unknown or not self.algorithms:
+        if set(self.algorithms) - set(ALGORITHMS):
             raise ValueError(
                 f"algorithms must be a nonempty subset of {ALGORITHMS}, "
-                f"got {tuple(self.algorithms)}"
-            )
-        if self.functions is not None:
-            if not self.functions:
-                raise ValueError(
-                    "functions must be nonempty (None runs the suite)")
-            unknown = set(self.functions) - set(BASE_FUNCTIONS)
-            if unknown:
-                raise ValueError(f"unknown suite functions: {sorted(unknown)}")
-        for name in ("dims", "pop_sizes", "algorithms", "functions"):
-            values = list(getattr(self, name) or ())
-            repeated = {v for v in values if values.count(v) > 1}
-            if repeated:
-                raise ValueError(f"{name} repeats {sorted(repeated)}")
+                f"got {self.algorithms}")
+        unknown = set(self.functions or ()) - set(BASE_FUNCTIONS)
+        if unknown:
+            raise ValueError(f"unknown suite functions: {sorted(unknown)}")
         for algo in self.algorithms:
             for pop in dict.fromkeys(p for _, p in self.cells()):
                 try:

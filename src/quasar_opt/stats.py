@@ -147,8 +147,9 @@ def gmerf_ci(comparison_errors, reference_errors,
     return float(np.exp(mean - half)), float(np.exp(mean + half))
 
 
-def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """Ranks 1..n of a 1-D array; ties share the mean of their ranks."""
+def _average_ranks(values: np.ndarray) -> Tuple[np.ndarray, float]:
+    """Ranks 1..n of a 1-D array, ties sharing the mean of their ranks, and
+    the tie term sum(t^3 - t) over the tie groups' sizes t."""
     order = np.argsort(values, kind="mergesort")
     ordered = values[order]
     new = np.concatenate(([True], ordered[1:] != ordered[:-1]))
@@ -156,7 +157,8 @@ def _average_ranks(values: np.ndarray) -> np.ndarray:
     edges = np.flatnonzero(np.concatenate((new, [True])))
     ranks = np.empty(values.size)
     ranks[order] = ((edges[:-1] + edges[1:] + 1) / 2.0)[np.cumsum(new) - 1]
-    return ranks
+    t = np.diff(edges).astype(float)
+    return ranks, np.sum(t ** 3 - t)
 
 
 @dataclass(frozen=True)
@@ -180,16 +182,12 @@ def friedman_rank_sums(median_errors) -> FriedmanResult:
     if not np.all(np.isfinite(m)):
         raise ValueError("median errors must be finite")
     s, a = m.shape
-    ranks = np.apply_along_axis(_average_ranks, 1, m)
-    rank_sums = ranks.sum(axis=0)
+    ranks, ties = zip(*(_average_ranks(row) for row in m))
+    rank_sums = np.sum(ranks, axis=0)
 
     stat = (12.0 / (s * a * (a + 1))) * np.sum(rank_sums ** 2) - 3.0 * s * (a + 1)
     # Tie correction: 1 - sum(t^3 - t) / (s * a * (a^2 - 1)).
-    ties = 0.0
-    for row in ranks:
-        _, counts = np.unique(row, return_counts=True)
-        ties += np.sum(counts.astype(float) ** 3 - counts)
-    c = 1.0 - ties / (s * a * (a * a - 1))
+    c = 1.0 - sum(ties) / (s * a * (a * a - 1))
     if c <= 0:
         # Every scenario fully tied: no evidence of any difference.
         return FriedmanResult(rank_sums, 0.0, 1.0)
@@ -214,16 +212,15 @@ def wilcoxon_signed_rank(x, y) -> Tuple[float, Optional[float]]:
     n = d.size
     if n == 0:
         return 0.0, 1.0
-    ranks = _average_ranks(np.abs(d))
+    ranks, ties = _average_ranks(np.abs(d))
     statistic = float(min(ranks[d > 0].sum(), ranks[d < 0].sum()))
     if n < 5:
         return statistic, None
 
     mean = n * (n + 1) / 4.0
     var = n * (n + 1) * (2 * n + 1) / 24.0
-    _, counts = np.unique(ranks, return_counts=True)
     # Ties remove at most (n^3 - n)/48, so var >= n(n+1)(3n+3)/48 > 0.
-    var -= np.sum(counts.astype(float) ** 3 - counts) / 48.0
+    var -= ties / 48.0
     z = (statistic - mean + 0.5) / np.sqrt(var)
     p = min(2.0 * _normal_cdf(z), 1.0)
     return statistic, p
@@ -295,9 +292,3 @@ class SummaryTable:
     runtime_ratio_by_pop: Dict[str, Dict[str, float]] = field(default_factory=dict)
     runtime_ratio_overall: Dict[str, float] = field(default_factory=dict)
     n_failed_trials: int = 0
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SummaryTable":
-        """Rebuild a table from ``dataclasses.asdict`` output (summary.json)."""
-        return cls(**{**d, "scenarios": [ScenarioSummary(**s)
-                                         for s in d["scenarios"]]})

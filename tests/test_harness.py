@@ -5,7 +5,10 @@ import hashlib
 import json
 import multiprocessing
 import os
+import re
 import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from types import SimpleNamespace
@@ -31,10 +34,11 @@ from quasar_opt import (
     run_plan,
 )
 from quasar_opt.cli import main as cli_main
-from quasar_opt.benchmarks import BASE_FUNCTIONS
+from quasar_opt.benchmarks import BASE_FUNCTIONS, make_suite, suite_manifest
 from quasar_opt.harness import (ALGORITHMS, CSV_HEADER, TrialRecord,
                                 derive_seed, load_records)
-from quasar_opt.stats import ScenarioSummary, SummaryTable
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 TINY = dict(dims=[5], pop_sizes=[20], g_max=5, trials=3,
             master_seed=7, suite_seed=1, functions=["sphere"])
@@ -193,6 +197,18 @@ class TestPlan:
     ])
     def test_integer_fields_named_up_front(self, field, value):
         with pytest.raises(ValueError, match=rf"^{field} must be"):
+            ExperimentPlan(**dict(TINY, **{field: value}))
+
+    # A string used to pass as the list of its letters (algorithms "de"
+    # was refused as ('d', 'e'), functions "sphere" as unknown letters),
+    # and a bare int raised a TypeError that named no field.
+    @pytest.mark.parametrize("field,value", [
+        ("dims", 10), ("dims", "10"), ("pop_sizes", 20), ("pop_sizes", "20"),
+        ("algorithms", "de"), ("functions", "sphere"), ("functions", 1),
+    ])
+    def test_string_or_scalar_list_named_up_front(self, field, value):
+        with pytest.raises(ValueError, match=re.escape(
+                f"{field} must be a list, got {value!r}")):
             ExperimentPlan(**dict(TINY, **{field: value}))
 
     def test_negative_master_seed_runs(self, tmp_path):
@@ -707,32 +723,6 @@ class TestMedian:
         assert repr(got) == repr(float(np.median(values)))
 
 
-# Summary tables with every field set: NaN is left out, as it never
-# equals itself.
-labels = st.text("abdeqrs_", min_size=1, max_size=6)
-reals = st.floats(allow_nan=False)
-per_algo = st.dictionaries(labels, reals, max_size=3)
-intervals = st.dictionaries(labels, st.lists(reals, min_size=2, max_size=2),
-                            max_size=3)
-p_values = st.dictionaries(labels, st.none() | st.floats(0.0, 1.0),
-                           max_size=3)
-summary_tables = st.builds(
-    SummaryTable,
-    algorithms=st.lists(labels, max_size=3), reference=st.none() | labels,
-    scenarios=st.lists(st.builds(
-        ScenarioSummary, function=labels, dim=st.integers(2, 100),
-        pop=st.integers(4, 1000), n_trials=st.integers(1, 50),
-        gm_error=per_algo, mean_runtime=per_algo, gmerf=per_algo,
-        gmerf_ci=intervals, p_error=p_values, p_runtime=p_values,
-        error_floor_applied=st.booleans()), max_size=3),
-    rank_sums=per_algo, friedman_statistic=st.none() | reals,
-    friedman_p=st.none() | st.floats(0.0, 1.0), gmerf_overall=per_algo,
-    gmerf_overall_ci=intervals,
-    runtime_ratio_by_dim=st.dictionaries(labels, per_algo, max_size=2),
-    runtime_ratio_by_pop=st.dictionaries(labels, per_algo, max_size=2),
-    runtime_ratio_overall=per_algo, n_failed_trials=st.integers(0, 100))
-
-
 class TestEmitSummary:
     def test_dominant_algorithm_friedman(self, tmp_path):
         # quasar strictly best in every scenario: rank sum = #scenarios.
@@ -774,18 +764,8 @@ class TestEmitSummary:
         })
         write_records(tmp_path / "records.csv", rows)
         table = emit_summary(tmp_path / "records.csv")
-        parsed = SummaryTable.from_dict(
-            json.loads((tmp_path / "summary.json").read_text()))
-        assert parsed == table
-
-    @settings(derandomize=True, database=None, max_examples=25)
-    @given(summary_tables)
-    def test_summary_table_round_trip(self, table):
-        """from_dict rebuilds a table from asdict output, and from the same
-        output after a JSON round trip (summary.json)."""
-        d = dataclasses.asdict(table)
-        assert SummaryTable.from_dict(d) == table
-        assert SummaryTable.from_dict(json.loads(json.dumps(d))) == table
+        parsed = json.loads((tmp_path / "summary.json").read_text())
+        assert parsed == json.loads(json.dumps(dataclasses.asdict(table)))
 
     def test_plot_data_csv(self, tmp_path):
         rows = synthetic_rows({
@@ -857,6 +837,23 @@ class TestCli:
             assert cli_main(["summarize", "--in", str(out)]) == 0
         for name in ("summary.json", "plot_data.csv"):
             assert (torn / name).read_bytes() == (whole / name).read_bytes()
+
+    def test_python_m_runs_the_cli(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(SRC), os.environ.get("PYTHONPATH", "")]))
+
+        def run(*argv):
+            return subprocess.run([sys.executable, "-m", "quasar_opt", *argv],
+                                  env=env, cwd=tmp_path, capture_output=True,
+                                  text=True, timeout=120)
+
+        done = run("suite", "--dim", "2", "--seed", "1")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == suite_manifest(make_suite(2, 1)) + "\n"
+        done = run("run", "--trials", "0", "--out", str(tmp_path / "x"))
+        assert done.returncode == 2
+        assert "trials must be at least 1" in done.stderr
+        assert list(tmp_path.iterdir()) == []
 
     def test_summarize_missing_directory_creates_nothing(self, tmp_path,
                                                          capsys):

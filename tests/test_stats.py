@@ -318,7 +318,19 @@ class TestEqualToScipyStats:
         for _ in range(2000):
             n = int(rng.integers(1, 30))
             x = rng.integers(0, int(rng.integers(1, 12)), n) * 0.37
-            assert np.array_equal(_average_ranks(x), scipy.stats.rankdata(x))
+            assert np.array_equal(_average_ranks(x)[0], scipy.stats.rankdata(x))
+
+    # Few distinct values, so most vectors are full of ties.
+    @settings(derandomize=True, database=None, max_examples=500)
+    @given(st.lists(st.sampled_from([-1.5, 0.0, 0.37, 2.0, 1e300]),
+                    min_size=1, max_size=40))
+    def test_average_ranks_tie_term_equals_unique_counts(self, values):
+        """The tie term is sum(c^3 - c) over the tie groups' sizes, the
+        same floats added in the same order as over np.unique's counts."""
+        ranks, tie_term = _average_ranks(np.array(values))
+        _, counts = np.unique(ranks, return_counts=True)
+        assert repr(tie_term) == repr(
+            np.sum(counts.astype(float) ** 3 - counts))
 
     def test_gmerf_ci(self):
         rng = np.random.default_rng(21)
