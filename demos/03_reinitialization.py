@@ -41,9 +41,13 @@ print("elite covariance diagonal:", np.round(np.diag(stats.sigma), 4))
 
 # Replacement samples concentrate around the elites but keep exploring:
 # the noise term has standard deviation (high - low) / 20 per dimension.
+# The sampler takes its standard normals, one row per sample for the
+# Gaussian and one for the noise, drawn as the optimizer draws them.
 bounds = BoundsBox.cube(-10.0, 10.0, d)
-samples, fallback = sample_reinit_positions(stats, bounds, rng,
-                                             noise_divisor=20.0, count=2000)
+count = 2000
+z = rng.normal(size=(2 * count, d))
+samples, fallback = sample_reinit_positions(stats, bounds, z[:count],
+                                            z[count:], noise_divisor=20.0)
 print("\nreplacement sample mean:", np.round(samples.mean(axis=0), 3))
 print("replacement sample std: ", np.round(samples.std(axis=0), 3))
 print("(noise alone contributes std = 20/20 = 1 per dimension)")

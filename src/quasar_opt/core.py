@@ -259,8 +259,8 @@ class RngStream:
         return RngStream(self.seed, (*self._key, int(index)))
 
     # Thin pass-throughs for the draw types the optimizers use.
-    def random(self, size=None, out=None):
-        return self.generator.random(size, out=out)
+    def random(self, size=None):
+        return self.generator.random(size)
 
     def uniform(self, low=0.0, high=1.0, size=None):
         return self.generator.uniform(low, high, size)
@@ -307,15 +307,14 @@ def mutants(x: np.ndarray, p, q, r, f) -> np.ndarray:
     return v
 
 
-def crossover(trials: np.ndarray, targets, cr, rng: RngStream,
+def crossover(trials: np.ndarray, targets, cr, u: np.ndarray,
               forced=(slice(0), slice(0))) -> None:
-    """Binomial crossover in place: trials keeps its component where a
-    uniform draw is <= cr and at the (rows, columns) cells forced indexes
-    (DE's j_rand), and takes the target's elsewhere; cr is a scalar or a
-    column of per-row rates. One rng.random draw of trials' shape; the
-    draws and the mask are the `uniform` and `keep` work arrays."""
-    keep = np.greater(rng.random(out=work_array("uniform", trials.shape)),
-                      cr, out=work_array("keep", trials.shape, bool))
+    """Binomial crossover in place: trials keeps its component where the
+    uniform u of its cell is <= cr and at the (rows, columns) cells forced
+    indexes (DE's j_rand), and takes the target's elsewhere; cr is a scalar
+    or a column of per-row rates and u has trials' shape. u is only read;
+    the mask is the `keep` work array."""
+    keep = np.greater(u, cr, out=work_array("keep", trials.shape, bool))
     keep[forced] = False
     np.copyto(trials, targets, where=keep)
 

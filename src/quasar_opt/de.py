@@ -46,9 +46,11 @@ class DeConfig(RunConfig):
         super().__post_init__()
 
 
-def _draw_indices(rng: RngStream, n: int, d: int):
-    """Per target i: three donor indices, pairwise distinct and != i, and
-    j_rand in [0, d), from one integers draw (bounds n-1, n-2, n-3, d)."""
+def _draw(rng: RngStream, n: int, d: int):
+    """Every draw of a generation of n members in d dimensions: per target
+    i, three donor indices, pairwise distinct and != i, and j_rand in
+    [0, d), from one integers draw (bounds n-1, n-2, n-3, d), then the
+    (n, d) crossover uniforms. Returns (r1, r2, r3, j_rand, u)."""
     idx = np.arange(n)
     r1, r2, r3, j_rand = rng.integers(
         0, np.repeat((n - 1, n - 2, n - 3, d), n)).reshape(4, n)
@@ -60,25 +62,32 @@ def _draw_indices(rng: RngStream, n: int, d: int):
     r3 += r3 >= np.minimum(lo, r2)
     r3 += r3 >= np.minimum(np.maximum(r2, lo), hi)     # the middle one
     r3 += r3 >= np.maximum(hi, r2)
-    return r1, r2, r3, j_rand
+    return r1, r2, r3, j_rand, rng.random((n, d))
 
 
-def _de_step(objective, bounds: BoundsBox, pop: Population, cfg: DeConfig,
-             rng: RngStream) -> Population:
-    """One DE/rand/1/bin generation: v = X_r1 + F*(X_r2 - X_r3), binomial
-    crossover (core.crossover keeps v at j_rand), greedy selection."""
-    r1, r2, r3, j_rand = _draw_indices(rng, pop.size, pop.dim)
+def _apply(objective, bounds: BoundsBox, pop: Population, cfg: DeConfig,
+           draws) -> Population:
+    """One DE/rand/1/bin generation from its draws, which it only reads:
+    v = X_r1 + F*(X_r2 - X_r3), binomial crossover (core.crossover keeps v
+    at j_rand), greedy selection."""
+    r1, r2, r3, j_rand, u = draws
     x = pop.positions
     trials = mutants(x, r1, r2, r3, cfg.f_weight)
     clip_to_bounds(trials, bounds)
     rows = np.arange(pop.size)
-    crossover(trials, x, cfg.cr, rng, forced=(rows, j_rand))
+    crossover(trials, x, cfg.cr, u, forced=(rows, j_rand))
     trial_fit = evaluate_rows(objective, trials, pop.generation, rows)
 
     positions, fitness = x.copy(), pop.fitness.copy()
     select(positions, fitness, rows, trials, trial_fit)
     return Population(positions, fitness, pop.generation + 1,
                       pop.eval_count + pop.size)
+
+
+def _de_step(objective, bounds: BoundsBox, pop: Population, cfg: DeConfig,
+             rng: RngStream) -> Population:
+    """One DE/rand/1/bin generation: draw, then apply."""
+    return _apply(objective, bounds, pop, cfg, _draw(rng, pop.size, pop.dim))
 
 
 def de_optimize(f, bounds: BoundsBox, cfg: Optional[DeConfig] = None) -> OptResult:

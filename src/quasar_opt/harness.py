@@ -138,11 +138,15 @@ class ExperimentPlan:
             if not values:
                 suite = " (None runs the suite)" if name == "functions" else ""
                 raise ValueError(f"{name} must be nonempty{suite}")
+            # Elements first: sorting or hashing a bad one raises TypeError.
+            for v in values:
+                if name in ("dims", "pop_sizes"):
+                    require_int(name, v)
+                elif not isinstance(v, str):
+                    raise ValueError(f"{name} must list strings, got {v!r}")
             repeated = {v for v in values if values.count(v) > 1}
             if repeated:
                 raise ValueError(f"{name} repeats {sorted(repeated)}")
-        for dim in self.dims:
-            require_int("dims", dim)
         if min(self.dims) < 2:
             raise ValueError("suite functions need dimension >= 2")
         if set(self.algorithms) - set(ALGORITHMS):

@@ -195,10 +195,11 @@ def compute_elite_stats(
 
 
 def sample_reinit_positions(stats: EliteStats, bounds: BoundsBox,
-                            rng: RngStream, noise_divisor: float, count: int):
-    """Sample `count` replacement positions: N(mu, sigma) plus per-dimension
-    noise N(0, ((high - low) / noise_divisor)^2), clipped into the box.
-    Never aborts.
+                            z: np.ndarray, noise: np.ndarray,
+                            noise_divisor: float):
+    """Replacement positions N(mu, sigma) plus per-dimension noise
+    N(0, ((high - low) / noise_divisor)^2), clipped into the box, from the
+    (count, D) standard normals z and noise (only read); never aborts.
 
     Returns (positions, fallback): positions is (count, D); fallback 0 used
     the jittered covariance as-is, 1 needed a stronger jitter
@@ -207,10 +208,6 @@ def sample_reinit_positions(stats: EliteStats, bounds: BoundsBox,
     """
     mu, sigma = stats.mu, stats.sigma
     d = mu.size
-    # Gaussians and noise in one draw: the same stream use as two draws.
-    z = rng.normal(size=(2 * count, d))
-    z, noise = z[:count], z[count:]
-    noise *= bounds.width / noise_divisor
     fallback = 0
     try:
         y = z @ np.linalg.cholesky(sigma).T
@@ -223,58 +220,24 @@ def sample_reinit_positions(stats: EliteStats, bounds: BoundsBox,
             y = z * np.sqrt(np.maximum(np.diag(sigma), 0.0))
             fallback = 2
     y += mu
-    y += noise
+    y += noise * (bounds.width / noise_divisor)
     return clip_to_bounds(y, bounds), fallback
 
 
-def step(objective, bounds: BoundsBox, pop: Population, cfg: QuasarConfig,
-         rng: RngStream):
-    """Advance one generation; returns (new_population, StepInfo).
-
-    Order within a generation: (1) rank the population; (2) each of the
-    floor(reinit_fraction * N) worst individuals is independently replaced
-    with probability reinit_probability(g) by an elite-covariance sample
-    (evaluated immediately, no crossover or greedy comparison); (3) every
-    other individual runs strategy selection, mutation, rank-based binomial
-    crossover and greedy selection against its trial, drawing nothing and
-    calling no objective when none is left. Crossover rates use the
-    step-start ranking; mutation donors come from the post-reinit snapshot,
-    and all trials are evaluated against it (batch-synchronous, so results
-    do not depend on evaluation parallelism).
-
-    Draw order (all on the coordinating thread): reinit Bernoullis, reinit
-    Gaussians and noise, strategy selectors, local factors, global factors,
-    donor indices, crossover matrix.
+def _draw(rng: RngStream, cfg: QuasarConfig, n: int, d: int, g: int):
+    """Every draw of generation g of n members in d dimensions, in the
+    order that is a contract: reinit Bernoullis for the
+    floor(reinit_fraction * n) worst, reinit Gaussians and noise (2k x d
+    for k hits, no call when k is 0), then for the m = n - k others
+    strategy selectors, local factors, global factors, donor indices and
+    the (m, d) crossover uniforms, drawn even when m is 0. No size depends
+    on fitness. Returns (hit, z, strategies, f, r, u); z is None if k is 0.
     """
-    n, d = pop.size, pop.dim
-    # One stable sort gives the ranks; their inverse orders the worst slice.
-    ranks = rank_population(pop)
-    order = np.empty_like(ranks)
-    order[ranks] = np.arange(n)
-
-    positions = pop.positions.copy()
-    fitness = pop.fitness.copy()
-
-    # Worst slice, ordered best-to-worst, each member drawn independently.
-    n_slice = int(cfg.reinit_fraction * n)
-    p_reinit = reinit_probability(pop.generation, cfg.g_max,
-                                  cfg.p_final, cfg.g_final)
-    chosen = order[n - n_slice:][rng.random(n_slice) < p_reinit]
-    fallback = 0
-    if chosen.size:
-        stats = compute_elite_stats(pop, cfg.elite_fraction, cfg.epsilon_jitter)
-        new_pos, fallback = sample_reinit_positions(
-            stats, bounds, rng, cfg.noise_divisor, chosen.size)
-        positions[chosen] = new_pos
-        fitness[chosen] = evaluate_rows(objective, new_pos, pop.generation,
-                                        chosen)
-
-    reinit_mask = np.zeros(n, dtype=bool)
-    reinit_mask[chosen] = True
-    var_idx = (~reinit_mask).nonzero()[0]
-    m = var_idx.size
-
-    best_idx = int(fitness.argmin())
+    p_reinit = reinit_probability(g, cfg.g_max, cfg.p_final, cfg.g_final)
+    hit = rng.random(int(cfg.reinit_fraction * n)) < p_reinit
+    k = int(np.count_nonzero(hit))
+    z = rng.normal(size=(2 * k, d)) if k else None
+    m = n - k
     strategies = select_strategy(rng, cfg.entangle_rate, size=m)
     is_best = strategies == int(MutationStrategy.SPOOKY_BEST)
     n_best = int(np.count_nonzero(is_best))
@@ -282,16 +245,52 @@ def step(objective, bounds: BoundsBox, pop: Population, cfg: QuasarConfig,
     f[is_best] = sample_f_local(rng, size=n_best)
     f[~is_best] = sample_f_global(rng, size=m - n_best)
     r = rng.integers(0, n - 1, size=m)
-    rand_idx = r + (r >= var_idx)
+    return hit, z, strategies, f, r, rng.random((m, d))
 
+
+def _apply(objective, bounds: BoundsBox, pop: Population, cfg: QuasarConfig,
+           draws):
+    """One generation from _draw's draws, which it only reads; returns
+    (new_population, StepInfo). It ranks the population, replaces the hit
+    members of the worst slice (ordered best-to-worst) by elite-covariance
+    samples, evaluated at once with no crossover or greedy comparison, then
+    runs mutation, rank-based crossover and greedy selection for the rest.
+    Crossover rates use the step-start ranking; donors come from the
+    post-reinit snapshot, and all trials are evaluated against it
+    (batch-synchronous, so results do not depend on evaluation parallelism)."""
+    hit, z, strategies, f, r, u = draws
+    n = pop.size
+    # One stable sort gives the ranks; their inverse orders the worst slice.
+    ranks = rank_population(pop)
+    order = np.empty_like(ranks)
+    order[ranks] = np.arange(n)
+
+    positions, fitness = pop.positions.copy(), pop.fitness.copy()
+    chosen = order[n - hit.size:][hit]
+    k = chosen.size
+    fallback = 0
+    if k:
+        stats = compute_elite_stats(pop, cfg.elite_fraction, cfg.epsilon_jitter)
+        new_pos, fallback = sample_reinit_positions(
+            stats, bounds, z[:k], z[k:], cfg.noise_divisor)
+        positions[chosen] = new_pos
+        fitness[chosen] = evaluate_rows(objective, new_pos, pop.generation,
+                                        chosen)
+
+    reinit_mask = np.zeros(n, dtype=bool)
+    reinit_mask[chosen] = True
+    var_idx = (~reinit_mask).nonzero()[0]
+
+    best_idx = int(fitness.argmin())
+    rand_idx = r + (r >= var_idx)
     trials = _build_mutants(positions, best_idx, var_idx, strategies, f,
                             rand_idx)
     clip_to_bounds(trials, bounds)
     cr = crossover_rate(ranks[var_idx], n, cfg.cr_floor)
     # The targets are a work array, done with before the objective runs.
     targets = positions.take(var_idx, axis=0, mode="clip",
-                             out=work_array("rows", (m, d)))
-    crossover(trials, targets, cr[:, None], rng)
+                             out=work_array("rows", trials.shape))
+    crossover(trials, targets, cr[:, None], u)
     trial_fit = evaluate_rows(objective, trials, pop.generation, var_idx)
     n_accepted = int(np.count_nonzero(
         select(positions, fitness, var_idx, trials, trial_fit)))
@@ -299,12 +298,16 @@ def step(objective, bounds: BoundsBox, pop: Population, cfg: QuasarConfig,
     new_pop = Population(positions, fitness, pop.generation + 1,
                          pop.eval_count + n)
     return new_pop, StepInfo(
-        reinit_mask=reinit_mask,
-        n_reinit=int(chosen.size),
-        cholesky_fallback=fallback,
+        reinit_mask=reinit_mask, n_reinit=k, cholesky_fallback=fallback,
         strategy_counts=np.bincount(strategies, minlength=3),
-        n_accepted=n_accepted,
-    )
+        n_accepted=n_accepted)
+
+
+def step(objective, bounds: BoundsBox, pop: Population, cfg: QuasarConfig,
+         rng: RngStream):
+    """Advance one generation; returns (new_population, StepInfo)."""
+    return _apply(objective, bounds, pop, cfg,
+                  _draw(rng, cfg, pop.size, pop.dim, pop.generation))
 
 
 def optimize(f, bounds: BoundsBox, cfg: Optional[QuasarConfig] = None) -> OptResult:

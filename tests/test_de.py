@@ -6,7 +6,7 @@ from oracles import binomial_crossover, greedy_select
 
 from quasar_opt import BoundsBox, DeConfig, Population, RngStream, de_optimize
 from quasar_opt.core import evaluate_rows
-from quasar_opt.de import _de_step, _draw_indices
+from quasar_opt.de import _de_step, _draw
 from quasar_opt.sampling import sobol_sample
 
 
@@ -26,7 +26,7 @@ class TestDistinctDonors:
         rng = RngStream(0)
         for n, d in ((4, 1), (5, 3), (9, 10), (30, 2)):
             for _ in range(50):
-                r1, r2, r3, j_rand = _draw_indices(rng, n, d)
+                r1, r2, r3, j_rand = _draw(rng, n, d)[:4]
                 idx = np.arange(n)
                 for a, b in ((r1, r2), (r1, r3), (r2, r3),
                              (r1, idx), (r2, idx), (r3, idx)):
@@ -39,7 +39,7 @@ class TestDistinctDonors:
         rng = RngStream(1)
         seen, seen_j = set(), set()
         for _ in range(200):
-            r1, _, _, j_rand = _draw_indices(rng, 6, 4)
+            r1, _, _, j_rand = _draw(rng, 6, 4)[:4]
             seen.update(r1.tolist())
             seen_j.update(j_rand.tolist())
         assert seen == set(range(6))

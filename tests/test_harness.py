@@ -180,6 +180,21 @@ class TestPlan:
         with pytest.raises(ValueError, match=r"algorithms repeats \['de'\]"):
             ExperimentPlan(algorithms=["de", "quasar", "de"])
 
+    # Each of these used to raise a bare TypeError from the repeat check,
+    # which sorts and hashes the values, before any element was checked.
+    @pytest.mark.parametrize("field,values,message", [
+        ("pop_sizes", [20, "a", 20, "a"],
+         "pop_sizes must be an integer, got 'a'"),
+        ("dims", [[5], [5]], "dims must be an integer, got [5]"),
+        ("algorithms", ["de", None, "de", None],
+         "algorithms must list strings, got None"),
+        ("functions", [1, "sphere", 1, "sphere"],
+         "functions must list strings, got 1"),
+    ])
+    def test_bad_elements_named_before_repeats(self, field, values, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ExperimentPlan(**dict(TINY, **{field: values}))
+
     def test_population_below_an_algorithms_minimum_refused(self):
         # DE needs 4 members, QUASAR 5: pop 4 is fine for DE alone.
         ExperimentPlan(dims=[5], pop_sizes=[4], algorithms=["de"])

@@ -18,6 +18,7 @@ from quasar_opt import (
     sample_reinit_positions,
     step,
 )
+from quasar_opt import de, quasar
 from quasar_opt.benchmarks import BASE_FUNCTIONS
 from quasar_opt.core import evaluate_rows
 from quasar_opt.de import _de_step
@@ -72,6 +73,37 @@ def test_de_step_leaves_population_and_bounds_unchanged():
     assert np.array_equal(again.positions, new.positions)
 
 
+# The apply half of a generation makes no draw and writes none: the same
+# draws applied twice to the same population give the same bits, and every
+# draw array ends as it was drawn.
+def test_quasar_apply_only_reads_its_draws():
+    fn, pop = suite_case()
+    cfg = QuasarConfig(pop_size=pop.size, g_max=10)
+    draws = quasar._draw(RngStream(2), cfg, pop.size, pop.dim, 0)
+    before = snapshot(*draws)
+    runs = [quasar._apply(fn, fn.bounds, pop, cfg, draws) for _ in range(2)]
+    assert snapshot(*draws) == before
+    (a, info), (b, again) = runs
+    assert 0 < info.n_reinit < pop.size      # both halves of the step ran
+    assert (snapshot(a.positions, a.fitness, info.reinit_mask,
+                     info.strategy_counts)
+            == snapshot(b.positions, b.fitness, again.reinit_mask,
+                        again.strategy_counts))
+    assert ((info.n_reinit, info.cholesky_fallback, info.n_accepted)
+            == (again.n_reinit, again.cholesky_fallback, again.n_accepted))
+
+
+def test_de_apply_only_reads_its_draws():
+    fn, pop = suite_case()
+    cfg = DeConfig(pop_size=pop.size, g_max=10)
+    draws = de._draw(RngStream(2), pop.size, pop.dim)
+    before = snapshot(*draws)
+    a, b = [de._apply(fn, fn.bounds, pop, cfg, draws) for _ in range(2)]
+    assert snapshot(*draws) == before
+    assert (snapshot(a.positions, a.fitness)
+            == snapshot(b.positions, b.fitness))
+
+
 @pytest.mark.parametrize("sigma,fallback", [
     (np.diag([4.0, 1.0, 0.25]), 0),
     (np.zeros((3, 3)), 1),
@@ -82,7 +114,8 @@ def test_reinit_batch_leaves_elite_stats_and_bounds_unchanged(sigma,
     stats = EliteStats(mu=np.array([0.5, -2.0, 9.0]), sigma=sigma, m=4)
     box = BoundsBox(np.array([-1.0, -3.0, 0.0]), np.array([1.0, 3.0, 10.0]))
     before = snapshot(stats.mu, stats.sigma, box.low, box.high)
-    y, got = sample_reinit_positions(stats, box, RngStream(4), 20.0, 6)
+    z = RngStream(4).normal(size=(12, 3))
+    y, got = sample_reinit_positions(stats, box, z[:6], z[6:], 20.0)
     assert got == fallback
     assert snapshot(stats.mu, stats.sigma, box.low, box.high) == before
     assert y.shape == (6, 3) and box.contains(y)

@@ -175,7 +175,7 @@ class TestSharedCrossoverMatchesOracle:
                              for x, v, c in zip(targets, trials, rates)])
         # Both sides occur, so the comparison sees the mask.
         assert (expected == targets).any() and (expected != targets).any()
-        crossover(trials, targets, cr, RngStream(seed))
+        crossover(trials, targets, cr, RngStream(seed).random(trials.shape))
         assert np.array_equal(trials, expected)
 
     def test_per_row_rates(self):
@@ -197,7 +197,8 @@ class TestSharedCrossoverMatchesOracle:
         # Some forced cells would have taken the target's component.
         assert (expected[rows, cols] != trials[rows, cols]).any()
         mixed, rng = trials.copy(), RngStream(seed)
-        crossover(mixed, targets, 0.3, rng, forced=(rows, cols))
+        crossover(mixed, targets, 0.3, rng.random(trials.shape),
+                  forced=(rows, cols))
         assert rng.random() == after        # the same uniform draw
         assert np.array_equal(mixed[rows, cols], trials[rows, cols])
         expected[rows, cols] = trials[rows, cols]
@@ -318,19 +319,27 @@ class TestEliteStats:
             compute_elite_stats(pop)
 
 
+def reinit_sample(stats, bounds, rng, noise_divisor, count):
+    """sample_reinit_positions on one draw of 2 * count rows of standard
+    normals, split in halves as the step splits them."""
+    z = rng.normal(size=(2 * count, stats.mu.size))
+    return sample_reinit_positions(stats, bounds, z[:count], z[count:],
+                                   noise_divisor)
+
+
 class TestReinitSampling:
     def test_concentrates_at_mean_without_noise(self):
         stats = EliteStats(mu=np.array([2.0, -3.0]),
                            sigma=1e-12 * np.eye(2), m=2)
         bounds = BoundsBox.cube(-10.0, 10.0, 2)
         rng = RngStream(0)
-        pts, _ = sample_reinit_positions(stats, bounds, rng, 1e18, 200)
+        pts, _ = reinit_sample(stats, bounds, rng, 1e18, 200)
         assert np.max(np.abs(pts - stats.mu)) < 1e-4
 
     def test_always_in_bounds(self):
         stats = EliteStats(mu=np.array([9.0]), sigma=np.array([[25.0]]), m=4)
         bounds = BoundsBox.cube(-10.0, 10.0, 1)
-        pts, fb = sample_reinit_positions(stats, bounds, RngStream(1), 20.0, 100_000)
+        pts, fb = reinit_sample(stats, bounds, RngStream(1), 20.0, 100_000)
         assert fb == 0
         assert bounds.contains(pts)
 
@@ -338,7 +347,7 @@ class TestReinitSampling:
         # Var = 1 (covariance) + (20/20)^2 (noise) = 2, far from the clip.
         stats = EliteStats(mu=np.array([0.0]), sigma=np.array([[1.0]]), m=4)
         bounds = BoundsBox.cube(-10.0, 10.0, 1)
-        pts, _ = sample_reinit_positions(stats, bounds, RngStream(2), 20.0, 100_000)
+        pts, _ = reinit_sample(stats, bounds, RngStream(2), 20.0, 100_000)
         assert abs(pts.var(ddof=1) - 2.0) < 0.1
 
     def test_strong_jitter_fallback(self):
@@ -347,7 +356,7 @@ class TestReinitSampling:
         sigma = np.array([[1.0, 1.0], [1.0, 1.0]]) - 1e-9 * np.eye(2)
         stats = EliteStats(mu=np.zeros(2), sigma=sigma, m=3)
         bounds = BoundsBox.cube(-5.0, 5.0, 2)
-        pts, fb = sample_reinit_positions(stats, bounds, RngStream(3), 20.0, 50)
+        pts, fb = reinit_sample(stats, bounds, RngStream(3), 20.0, 50)
         assert fb == 1
         assert bounds.contains(pts)
 
@@ -355,7 +364,7 @@ class TestReinitSampling:
         sigma = np.array([[1.0, 2.0], [2.0, 1.0]])  # indefinite
         stats = EliteStats(mu=np.zeros(2), sigma=sigma, m=3)
         bounds = BoundsBox.cube(-5.0, 5.0, 2)
-        pts, fb = sample_reinit_positions(stats, bounds, RngStream(4), 20.0, 50)
+        pts, fb = reinit_sample(stats, bounds, RngStream(4), 20.0, 50)
         assert fb == 2
         assert bounds.contains(pts)
 

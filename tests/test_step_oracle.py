@@ -1,9 +1,10 @@
 """A whole QUASAR step against the scalar oracles, and a step whose every
 member is reinitialized.
 
-The oracle replays a second stream of the same seed in the order `step`
-documents: reinit Bernoullis, reinit Gaussians and noise, strategy
-selectors, local factors, global factors, donor indices, crossover matrix.
+The oracle replays a second stream of the same seed in the order
+`quasar._draw` documents: reinit Bernoullis, reinit Gaussians and noise,
+strategy selectors, local factors, global factors, donor indices, crossover
+matrix.
 It builds each trial one individual at a time with `oracles.mutate` and
 `oracles.binomial_crossover` (d uniforms per row use the stream as one
 (m, d) draw does) and keeps it with `oracles.greedy_select`.
@@ -29,6 +30,7 @@ from quasar_opt import (
 from quasar_opt.core import evaluate_rows
 from quasar_opt.quasar import (
     MutationStrategy,
+    _apply,
     sample_f_global,
     sample_f_local,
     select_strategy,
@@ -61,8 +63,10 @@ def oracle_step(objective, bounds, pop, cfg, rng):
     if chosen:
         stats = compute_elite_stats(pop, cfg.elite_fraction,
                                     cfg.epsilon_jitter)
+        k = len(chosen)
+        z = rng.normal(size=(2 * k, d))
         new_pos, fallback = sample_reinit_positions(
-            stats, bounds, rng, cfg.noise_divisor, len(chosen))
+            stats, bounds, z[:k], z[k:], cfg.noise_divisor)
         positions[chosen] = new_pos
         fitness[chosen] = evaluate_rows(objective, new_pos, pop.generation,
                                         chosen)
@@ -122,6 +126,57 @@ def test_step_equals_the_scalar_oracles(seed, reinit_fraction):
         seen.add(info.n_reinit == n)
     # Both the all-reinitialized step and ordinary ones occur at fraction 1.
     assert seen == ({True, False} if reinit_fraction == 1.0 else {False})
+
+
+@pytest.mark.parametrize("strategy", list(MutationStrategy))
+def test_hand_built_draws_equal_the_scalar_oracles(strategy):
+    """_apply on draws built by hand, with no stream: every strategy forced
+    to one code, crossover uniforms 0 (so each trial is its whole mutant),
+    one reinit hit whose zero normals give the elite mean, and exact
+    fitness ties in the ranking and in selection: every row has a twin,
+    and a zero factor makes a trial a copy of a member or of its twin."""
+    n, d = 12, 3
+    bounds = BoundsBox.cube(-3.0, 3.0, d)
+    objective = coarse_sphere(d)
+    x0 = sobol_sample(n, bounds)
+    x0[6:] = x0[:6]
+    pop = Population(x0, evaluate_rows(objective, x0, 0, range(n)), 3, n)
+    cfg = QuasarConfig(pop_size=n, g_max=10)
+    hit = np.array([True, False, False])    # the floor(0.33 * 12) worst
+    order = sorted(range(n), key=lambda i: pop.fitness[i])     # stable
+    chosen = order[n - 3]
+    var_idx = [i for i in range(n) if i != chosen]
+    m = n - 1
+    f = np.resize([0.0, 0.7, -0.45], m)
+    # Factors of 0 and 0.7 take the member's twin (i + 6) % 12 as donor
+    # (a draw skips i); factor -0.45 draws r = i, which maps to i + 1.
+    r = np.array([(i + 5 if i < 6 else i - 6) if fj >= 0 else min(i, n - 2)
+                  for i, fj in zip(var_idx, f)])
+    draws = (hit, np.zeros((2, d)), np.full(m, int(strategy), np.int8), f,
+             r, np.zeros((m, d)))
+    new, info = _apply(objective, bounds, pop, cfg, draws)
+
+    elite_mean = sum(pop.positions[i] for i in order[:3]) / 3
+    positions, fitness = pop.positions.copy(), pop.fitness.copy()
+    positions[chosen] = elite_mean
+    fitness[chosen] = objective.evaluate_many(elite_mean[None])[0]
+    snapshot = Population(positions.copy(), fitness.copy(), pop.generation)
+    best_idx = min(range(n), key=lambda i: fitness[i])
+    outcomes = []
+    for i, fj, rj in zip(var_idx, f, r):
+        u = mutate(i, strategy, snapshot, best_idx, bounds, fj,
+                   rj + (rj >= i))
+        fu = objective.evaluate_many(u[None])[0]
+        outcomes.append(float(np.sign(fu - fitness[i])))
+        positions[i], fitness[i] = greedy_select(positions[i], fitness[i],
+                                                 u, fu)
+    assert {0.0, -1.0} <= set(outcomes)     # ties and wins both occur
+    assert np.array_equal(new.positions, positions)
+    assert np.array_equal(new.fitness, fitness)
+    assert info.n_reinit == 1
+    assert np.array_equal(info.reinit_mask, np.arange(n) == chosen)
+    assert info.strategy_counts[int(strategy)] == m
+    assert info.n_accepted == outcomes.count(-1.0)
 
 
 def test_all_reinitialized_step_never_calls_the_objective_with_no_rows():
