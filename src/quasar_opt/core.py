@@ -122,23 +122,22 @@ def evaluate_rows(objective, X: np.ndarray, generation: int,
 _work = threading.local()
 
 
-def work_array(slot: str, shape: tuple, dtype=float) -> np.ndarray:
-    """A C-contiguous scratch array of `shape` (rows, columns) and `dtype`
-    for the named slot, owned by the calling thread; its contents are
-    undefined.
+def work_array(slot: str, shape: tuple) -> np.ndarray:
+    """A C-contiguous float scratch array of `shape` (rows, columns) for the
+    named slot, owned by the calling thread; its contents are undefined.
 
     The slot keeps one buffer, reused across generations and runs while the
-    column count and dtype stay the same and grown when more rows are asked
-    for, so a generation's temporaries are not freed and faulted in again on
-    every call. Threads, and so pool workers, never share a buffer. A caller
-    must be done with its slot before it calls an objective, which may
-    itself run an optimizer and take the same slot."""
+    column count stays the same and grown when more rows are asked for, so
+    a generation's temporaries are not freed and faulted in again on every
+    call. Threads, and so pool workers, never share a buffer. A caller must
+    be done with its slot before it calls an objective, which may itself
+    run an optimizer and take the same slot."""
     rows, cols = shape
     slots = vars(_work)
-    entry = slots.get(slot)             # (cols, dtype, buffer)
-    if entry is None or entry[:2] != (cols, dtype) or len(entry[2]) < rows:
-        entry = slots[slot] = (cols, dtype, np.empty(shape, dtype))
-    return entry[2][:rows]
+    buf = slots.get(slot)
+    if buf is None or buf.shape[1] != cols or len(buf) < rows:
+        buf = slots[slot] = np.empty(shape)
+    return buf[:rows]
 
 
 @dataclass(frozen=True)
@@ -171,10 +170,11 @@ class Population:
         return self.positions.shape[1]
 
 
-def rank_population(pop: Population) -> np.ndarray:
-    """0-based fitness ranks: rank 0 is the best (lowest fitness), ties by
-    lower index (stable); NaN fitness is an error, as ranking NaN would
-    corrupt selection."""
+def rank_population(pop: Population):
+    """(ranks, order) from one stable sort of the fitness: ranks are 0-based,
+    rank 0 the best (lowest fitness), ties by lower index, and order lists
+    the members best first, so ranks[order] is 0..n-1. NaN fitness is an
+    error, as ranking NaN would corrupt selection."""
     order = pop.fitness.argsort(kind="stable")
     if order.size and np.isnan(pop.fitness[order[-1]]):    # NaN sorts last
         raise ValueError(
@@ -183,7 +183,7 @@ def rank_population(pop: Population) -> np.ndarray:
         )
     ranks = np.empty(order.size, dtype=np.int64)
     ranks[order] = np.arange(order.size)
-    return ranks
+    return ranks, order
 
 
 def require_int(name: str, value, low: Optional[int] = None) -> None:
@@ -312,9 +312,8 @@ def crossover(trials: np.ndarray, targets, cr, u: np.ndarray,
     """Binomial crossover in place: trials keeps its component where the
     uniform u of its cell is <= cr and at the (rows, columns) cells forced
     indexes (DE's j_rand), and takes the target's elsewhere; cr is a scalar
-    or a column of per-row rates and u has trials' shape. u is only read;
-    the mask is the `keep` work array."""
-    keep = np.greater(u, cr, out=work_array("keep", trials.shape, bool))
+    or a column of per-row rates and u has trials' shape. u is only read."""
+    keep = np.greater(u, cr)
     keep[forced] = False
     np.copyto(trials, targets, where=keep)
 
@@ -323,13 +322,10 @@ def select(positions: np.ndarray, fitness: np.ndarray, idx: np.ndarray,
            trials: np.ndarray, trial_fit: np.ndarray) -> np.ndarray:
     """Greedy one-to-one selection in place: member idx[k] takes trial k
     only when trial_fit[k] is strictly lower (a tie keeps the incumbent).
-    Returns the accept mask. The accepted rows are gathered through the
-    `rows` work array, so trials is only read."""
+    Returns the accept mask; trials is only read."""
     accept = trial_fit < fitness[idx]
     winners = idx[accept]
-    positions[winners] = trials.take(
-        accept.nonzero()[0], axis=0, mode="clip",
-        out=work_array("rows", (winners.size, trials.shape[1])))
+    positions[winners] = trials.take(accept.nonzero()[0], axis=0)
     fitness[winners] = trial_fit[accept]
     return accept
 

@@ -183,9 +183,7 @@ def compute_elite_stats(
             f"covariance needs at least {m} individuals, population has {n}"
         )
     order = pop.fitness.argsort(kind="stable")
-    # The elites, gathered into a work array and centered in place.
-    centered = pop.positions.take(order[:m], axis=0, mode="clip",
-                                  out=work_array("rows", (m, pop.dim)))
+    centered = pop.positions.take(order[:m], axis=0)
     mu = centered.sum(axis=0) / m
     centered -= mu
     sigma = centered.T @ centered
@@ -260,10 +258,7 @@ def _apply(objective, bounds: BoundsBox, pop: Population, cfg: QuasarConfig,
     (batch-synchronous, so results do not depend on evaluation parallelism)."""
     hit, z, strategies, f, r, u = draws
     n = pop.size
-    # One stable sort gives the ranks; their inverse orders the worst slice.
-    ranks = rank_population(pop)
-    order = np.empty_like(ranks)
-    order[ranks] = np.arange(n)
+    ranks, order = rank_population(pop)
 
     positions, fitness = pop.positions.copy(), pop.fitness.copy()
     chosen = order[n - hit.size:][hit]

@@ -90,22 +90,30 @@ class TestClipToBounds:
 
 class TestRankPopulation:
     def test_direct_sort(self):
-        assert np.array_equal(rank_population(make_pop([3.0, 1.0, 2.0])),
+        assert np.array_equal(rank_population(make_pop([3.0, 1.0, 2.0]))[0],
                               [2, 0, 1])
 
     def test_tie_broken_by_index(self):
-        assert np.array_equal(rank_population(make_pop([1.0, 1.0])), [0, 1])
+        assert np.array_equal(rank_population(make_pop([1.0, 1.0]))[0], [0, 1])
 
     def test_reversed_order(self):
-        assert np.array_equal(rank_population(make_pop([5, 4, 3, 2, 1])),
+        assert np.array_equal(rank_population(make_pop([5, 4, 3, 2, 1]))[0],
                               [4, 3, 2, 1, 0])
 
     def test_is_permutation(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
             n = int(rng.integers(1, 40))
-            ranks = rank_population(make_pop(rng.normal(size=n)))
+            ranks = rank_population(make_pop(rng.normal(size=n)))[0]
             assert np.array_equal(np.sort(ranks), np.arange(n))
+
+    def test_order_is_the_stable_sort_the_ranks_invert(self):
+        rng = np.random.default_rng(2)
+        for _ in range(20):
+            fitness = rng.integers(0, 5, size=int(rng.integers(1, 40)))
+            ranks, order = rank_population(make_pop(fitness))
+            assert np.array_equal(order, np.argsort(fitness, kind="stable"))
+            assert np.array_equal(ranks[order], np.arange(fitness.size))
 
     def test_nan_names_individual(self):
         with pytest.raises(ValueError, match="individual 2"):

@@ -44,10 +44,7 @@ class TestWorkArray:
         d = work_array("test.slot", (2, 5))     # other columns replace it
         assert d.shape == (2, 5) and d.flags.c_contiguous
 
-    def test_dtype_and_slot_are_separate(self):
-        f = work_array("test.kind", (8, 2))
-        m = work_array("test.kind", (8, 2), bool)
-        assert m.dtype == bool and not np.shares_memory(f, m)
+    def test_slots_are_separate(self):
         assert not np.shares_memory(work_array("test.a", (8, 2)),
                                     work_array("test.b", (8, 2)))
 
@@ -74,6 +71,27 @@ class TestWorkArray:
         t.join(timeout=60)
         assert not t.is_alive()
         assert slots == [{}]
+
+
+@pytest.mark.parametrize("fn,slots", [
+    (suite_fn(), ["rows", "suite.shifted", "suite.z"]),
+    (lambda x: float(x @ x), ["rows"]),
+], ids=["suite", "callable"])
+def test_runs_leave_only_their_slots(fn, slots):
+    """Both optimizers take only the `rows` slot, and a suite function only
+    its two GEMM buffers."""
+    bounds = BoundsBox.cube(-5.0, 5.0, 8)
+    left = []
+
+    def runs():
+        for run, cfg_cls in RUNS:
+            run(fn, bounds, cfg_cls(pop_size=30, g_max=4, seed=1))
+        left.append(sorted(vars(_work)))
+    t = threading.Thread(target=runs)
+    t.start()
+    t.join(timeout=60)
+    assert not t.is_alive()
+    assert left == [slots]
 
 
 class Keeper:
