@@ -420,10 +420,9 @@ def summarize_records(records: List[TrialRecord]) -> SummaryTable:
     # Friedman over scenarios where every algorithm is present.
     full = [err for _, err, _ in aligned if len(err) == len(algorithms)]
     if len(algorithms) >= 2 and full:
-        fr = friedman_rank_sums(
+        sums, table.friedman_statistic, table.friedman_p = friedman_rank_sums(
             [[_median(err[a]) for a in algorithms] for err in full])
-        table.rank_sums = {a: float(s) for a, s in zip(algorithms, fr.rank_sums)}
-        table.friedman_statistic, table.friedman_p = fr.statistic, fr.p_value
+        table.rank_sums = {a: float(s) for a, s in zip(algorithms, sums)}
 
     # Overall statistics pool the scenarios where the algorithm has a
     # GMERF, i.e. runs beside the reference.
@@ -442,12 +441,9 @@ def summarize_records(records: List[TrialRecord]) -> SummaryTable:
         dims = np.concatenate([[sc.dim] * sc.n_trials for sc, _, _ in pair])
         pops = np.concatenate([[sc.pop] * sc.n_trials for sc, _, _ in pair])
         cells = np.array([f"{d}/{p}" for d, p in zip(dims, pops)])
-        table.runtime_ratio_by_dim[algo] = runtime_ratios(
-            tc, tr, dims).ratio_of_means
-        table.runtime_ratio_by_pop[algo] = runtime_ratios(
-            tc, tr, pops).ratio_of_means
-        table.runtime_ratio_overall[algo] = runtime_ratios(
-            tc, tr, cells).overall
+        table.runtime_ratio_by_dim[algo] = runtime_ratios(tc, tr, dims)[0]
+        table.runtime_ratio_by_pop[algo] = runtime_ratios(tc, tr, pops)[0]
+        table.runtime_ratio_overall[algo] = runtime_ratios(tc, tr, cells)[1]
     return table
 
 

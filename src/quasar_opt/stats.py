@@ -161,20 +161,15 @@ def _average_ranks(values: np.ndarray) -> Tuple[np.ndarray, float]:
     return ranks, np.sum(t ** 3 - t)
 
 
-@dataclass(frozen=True)
-class FriedmanResult:
-    rank_sums: np.ndarray   # per algorithm, aligned with input columns
-    statistic: float
-    p_value: float
-
-
-def friedman_rank_sums(median_errors) -> FriedmanResult:
+def friedman_rank_sums(median_errors) -> Tuple[np.ndarray, float, float]:
     """Friedman test over a scenarios-by-algorithms matrix of median errors.
 
-    Per scenario, algorithms get ranks 1..A (average ranks on ties, best =
-    lowest error = rank 1); rank sums accumulate across scenarios. The
-    chi-square statistic uses the standard tie correction and A-1 degrees
-    of freedom. A lower rank sum indicates better overall performance.
+    Returns (rank_sums, statistic, p_value), rank_sums aligned with the
+    columns. Per scenario, algorithms get ranks 1..A (average ranks on
+    ties, best = lowest error = rank 1); rank sums accumulate across
+    scenarios. The chi-square statistic uses the standard tie correction
+    and A-1 degrees of freedom. A lower rank sum indicates better overall
+    performance.
     """
     m = np.asarray(median_errors, dtype=float)
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 2:
@@ -190,9 +185,9 @@ def friedman_rank_sums(median_errors) -> FriedmanResult:
     c = 1.0 - sum(ties) / (s * a * (a * a - 1))
     if c <= 0:
         # Every scenario fully tied: no evidence of any difference.
-        return FriedmanResult(rank_sums, 0.0, 1.0)
+        return rank_sums, 0.0, 1.0
     stat /= c
-    return FriedmanResult(rank_sums, float(stat), _chi2_sf(a - 1, stat))
+    return rank_sums, float(stat), _chi2_sf(a - 1, stat)
 
 
 def wilcoxon_signed_rank(x, y) -> Tuple[float, Optional[float]]:
@@ -226,22 +221,14 @@ def wilcoxon_signed_rank(x, y) -> Tuple[float, Optional[float]]:
     return statistic, p
 
 
-@dataclass(frozen=True)
-class RuntimeRatios:
-    """Run-time comparison grouped by a label (dimension or sample size).
-
-    ratio_of_means[g] divides the groups' mean run times; overall averages,
-    over the groups, the mean of per-trial ratios within each group.
-    """
-
-    ratio_of_means: Dict[str, float]
-    overall: float
-
-
-def runtime_ratios(times_comparison, times_reference, groups) -> RuntimeRatios:
+def runtime_ratios(times_comparison, times_reference,
+                   groups) -> Tuple[Dict[str, float], float]:
     """Per-group and overall run-time ratios comparison/reference.
 
-    All three arguments align per trial; times must be positive.
+    Returns (ratio_of_means, overall): ratio_of_means[g] divides group g's
+    mean run times; overall averages, over the groups, the mean of
+    per-trial ratios within each group. All three arguments align per
+    trial; times must be positive.
     """
     tc = _checked(times_comparison, "times_comparison")
     tr = _checked(times_reference, "times_reference")
@@ -256,7 +243,7 @@ def runtime_ratios(times_comparison, times_reference, groups) -> RuntimeRatios:
         sel = labels == g
         ratio_of_means[str(g)] = float(tc[sel].mean() / tr[sel].mean())
         paired_means.append(float(np.mean(tc[sel] / tr[sel])))
-    return RuntimeRatios(ratio_of_means, float(np.mean(paired_means)))
+    return ratio_of_means, float(np.mean(paired_means))
 
 
 @dataclass

@@ -772,6 +772,51 @@ class TestEmitSummary:
         assert table.gmerf_overall["de"] == pytest.approx(
             np.sqrt(gmerf_fn(d1, q1) * gmerf_fn(d2, q2)))
 
+    def test_hand_computed_ranks_ratios_and_floor_flags(self):
+        # Four (dim, pop) cells of one function, three trials each.
+        # Errors: in cell 10/50 quasar has the lower median (2 < 3) but the
+        # higher mean (34.3 > 3); cell 10/100 holds an error of exactly
+        # ERROR_FLOOR, cell 30/50 one below it. Runtimes: per-trial ratios
+        # de/quasar are (2, 2, 1), 2, 3 and 0.5 per cell.
+        floor = harness.ERROR_FLOOR
+        cells = {
+            (10, 50): ([1.0, 2.0, 100.0], [3.0, 3.0, 3.0],
+                       [1.0, 1.0, 2.0], [2.0, 2.0, 2.0]),
+            (10, 100): ([floor, 0.1, 0.2], [1.0, 1.0, 1.0],
+                        [2.0, 2.0, 2.0], [4.0, 4.0, 4.0]),
+            (30, 50): ([1e-13, 0.1, 0.1], [1.0, 1.0, 1.0],
+                       [1.0, 1.0, 1.0], [3.0, 3.0, 3.0]),
+            (30, 100): ([0.1, 0.2, 0.3], [1.0, 2.0, 3.0],
+                        [4.0, 4.0, 4.0], [2.0, 2.0, 2.0]),
+        }
+        records = [
+            TrialRecord(algo, "f", dim, pop, 5, t, 1, errs[t], times[t], 100)
+            for (dim, pop), (q_err, d_err, q_rt, d_rt) in cells.items()
+            for algo, errs, times in (("quasar", q_err, q_rt),
+                                      ("de", d_err, d_rt))
+            for t in range(3)]
+        table = harness.summarize_records(records)
+
+        # Median ranks: quasar first in all four cells.
+        assert table.rank_sums == {"quasar": 4.0, "de": 8.0}
+        # 12/(4*2*3) * (4^2 + 8^2) - 3*4*3 = 4; chi-square(1) sf(4) =
+        # erfc(sqrt(2)).
+        assert table.friedman_statistic == pytest.approx(4.0, rel=1e-12)
+        assert table.friedman_p == pytest.approx(0.0455002638963584,
+                                                 rel=1e-12)
+        # Mean runtimes de/quasar: dim 10 is 3 / (10/6), dim 30 is 2.5 / 2.5;
+        # pop 50 is 2.5 / (7/6), pop 100 is 3 / 3.
+        assert table.runtime_ratio_by_dim["de"] == pytest.approx(
+            {"10": 1.8, "30": 1.0}, rel=1e-12)
+        assert table.runtime_ratio_by_pop["de"] == pytest.approx(
+            {"50": 15 / 7, "100": 1.0}, rel=1e-12)
+        # Mean over cells of the mean per-trial ratio: (5/3 + 2 + 3 + 0.5)
+        # / 4 = 43/24; the pooled ratio of means would be 33/25.
+        assert table.runtime_ratio_overall["de"] == pytest.approx(
+            43 / 24, rel=1e-12)
+        assert [sc.error_floor_applied for sc in table.scenarios] == \
+            [False, False, True, False]
+
     def test_summary_json_round_trip(self, tmp_path):
         rows = synthetic_rows({
             "quasar": [[0.1, 0.3, 0.2, 0.15, 0.25, 0.1]] * 2,

@@ -5,19 +5,25 @@ to 12, g_max from 0 to 20, and the seed and initializer vary. Each run is
 checked for: bit-identical reruns; every position that each step emits
 inside the box; a trace of g_max + 1 non-increasing entries;
 N * (g_max + 1) evaluations; and, for QUASAR, StepInfo counts that agree
-with each other.
+with each other. Runs on f and on 2**k * f, which differ only by an exact
+power-of-two scale, must make the same decisions.
 """
 
 from contextlib import contextmanager
+from types import SimpleNamespace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quasar_opt.de
 import quasar_opt.quasar
-from quasar_opt import (BoundsBox, DeConfig, InitMethod, QuasarConfig,
-                        de_optimize, optimize)
+from quasar_opt import (BoundsBox, DeConfig, InitMethod, Population,
+                        QuasarConfig, de_optimize, optimize)
+from quasar_opt.core import evaluate_rows
+from quasar_opt.quasar import MutationStrategy, _apply
+from quasar_opt.sampling import sobol_sample
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=200,
                     deadline=None)
@@ -117,3 +123,66 @@ def test_de_run_contracts(bounds, kwargs):
     for pop in steps:
         assert pop.positions.shape == (cfg.pop_size, bounds.dim)
         assert bounds.contains(pop.positions)
+
+
+class Scaled:
+    """`objective` times 2**k. The product is exact while it neither
+    overflows nor underflows, so every comparison of two values comes out
+    as it does on `objective`."""
+
+    def __init__(self, objective, k):
+        self.dim = objective.dim
+        self.objective = objective
+        self.factor = 2.0 ** k
+
+    def evaluate_many(self, X):
+        return self.factor * self.objective.evaluate_many(X)
+
+
+# Objective values lie in [0, 6] and, in runs this short, far above the
+# subnormals, so 2**k times them neither overflows nor underflows.
+SCALES = st.integers(-80, 80)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(bounds=boxes(), kwargs=RUNS, k=SCALES)
+@pytest.mark.parametrize("run, config", [(optimize, QuasarConfig),
+                                         (de_optimize, DeConfig)])
+def test_runs_see_values_only_through_comparisons(run, config, bounds,
+                                                  kwargs, k):
+    cfg = config(**kwargs)
+    base = run(Objective(bounds), bounds, cfg)
+    scaled = run(Scaled(Objective(bounds), k), bounds, cfg)
+    assert (scaled.trace / 2.0 ** k).tobytes() == base.trace.tobytes()
+    assert scaled.best_position.tobytes() == base.best_position.tobytes()
+    assert scaled.eval_count == base.eval_count
+
+
+@pytest.mark.parametrize("k", [-60, -20, 20, 60])
+def test_hand_built_step_sees_values_only_through_comparisons(k):
+    """One QUASAR generation on hand-built draws: a reinit hit, SPOOKY_BEST
+    for all, zero crossover uniforms, and fitness rounded to quarters with
+    every row twinned, so the ranking has ties. At k = -60 the fitness
+    steps are far below 1e-12."""
+    n, d = 12, 3
+    bounds = BoundsBox.cube(-3.0, 3.0, d)
+    coarse = SimpleNamespace(dim=d, evaluate_many=lambda X: np.floor(
+        4.0 * np.sum(X * X, axis=1)) / 4.0)
+    x0 = sobol_sample(n, bounds)
+    x0[6:] = x0[:6]
+    cfg = QuasarConfig(pop_size=n, g_max=10)
+    m = n - 1
+    draws = (np.array([True, False, False]), np.zeros((2, d)),
+             np.full(m, int(MutationStrategy.SPOOKY_BEST), np.int8),
+             np.resize([0.0, 0.7, -0.45], m),
+             np.arange(m), np.zeros((m, d)))
+    results = []
+    for objective in (coarse, Scaled(coarse, k)):
+        pop = Population(x0, evaluate_rows(objective, x0, 0, range(n)), 3, n)
+        results.append(_apply(objective, bounds, pop, cfg, draws))
+    (base, base_info), (scaled, scaled_info) = results
+    assert 0 < base_info.n_accepted < m
+    assert scaled.positions.tobytes() == base.positions.tobytes()
+    assert (scaled.fitness / 2.0 ** k).tobytes() == base.fitness.tobytes()
+    assert scaled_info.n_accepted == base_info.n_accepted
+    assert np.array_equal(scaled_info.reinit_mask, base_info.reinit_mask)
